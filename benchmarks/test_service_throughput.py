@@ -33,7 +33,6 @@ from repro.service import (
     MembershipServer,
     ProcessPoolBackend,
     RotateOnRestorePolicy,
-    SaturationGuard,
     TimeBasedRecyclingPolicy,
 )
 from repro.urlgen.faker import UrlFactory
@@ -119,7 +118,7 @@ def test_gateway_replay(benchmark, report):
             lambda: BloomFilter(1024, 4),
             shards=4,
             picker=HashShardPicker(),
-            guard=SaturationGuard(0.4),
+            policy=FillThresholdPolicy(0.4),
         )
         driver = AdversarialTrafficDriver(gateway, seed=3, max_trials=50_000)
         return asyncio.run(
@@ -200,7 +199,7 @@ def _replay_with_policy(policy):
 def test_policy_evaluation_overhead(report):
     """Per-batch policy evaluation must stay invisible on the hot path.
 
-    The PR 2 baseline is the guard-free gateway (no rotation decision at
+    The PR 2 baseline is the policy-free gateway (no rotation decision at
     all); each lifecycle policy replays the identical honest workload,
     with rotation thresholds set out of reach so the comparison measures
     pure decision overhead, not rotation work.

@@ -6,7 +6,7 @@ honest + pollution + ghost-query workload through the adversarial
 traffic driver, and prints the per-shard stats.  Four acts:
 
   1. public routing -- the adversary aims every crafted item at shard 0,
-     saturates it, and the saturation guard rotates it mid-run;
+     saturates it, and the fill-threshold policy rotates it mid-run;
   2. the same attack against a rate-limited gateway -- the attacker's
      insert budget collapses;
   3. keyed routing -- the adversary can no longer aim, pollution sprays
@@ -75,11 +75,11 @@ WORKLOAD = dict(
 )
 
 
-def build_gateway(keyed_routing: bool = False, rate_limit: float | None = None) -> MembershipGateway:
+def build_gateway(keyed_router: bool = False, rate_limit: float | None = None) -> MembershipGateway:
     return MembershipGateway(
         lambda: BloomFilter(SHARD_M, SHARD_K),
         shards=SHARDS,
-        picker=KeyedShardPicker() if keyed_routing else HashShardPicker(),
+        picker=KeyedShardPicker() if keyed_router else HashShardPicker(),
         policy=parse_policy(f"fill:{THRESHOLD}"),
         limiter=ClientRateLimiter(rate_limit, burst=32) if rate_limit else None,
     )
@@ -223,7 +223,7 @@ async def run_act_cluster() -> None:
     config = ServiceConfig(
         shard_m=SHARD_M,
         shard_k=SHARD_K,
-        rotation_threshold=None,
+        rotation_policy=None,
         router="siphash:" + bytes(range(16)).hex(),
     )
     async with ClusterHarness(
@@ -289,7 +289,7 @@ if __name__ == "__main__":
         "act 2: same attack, rate-limited clients",
         build_gateway(rate_limit=400.0),
     )
-    run_act("act 3: same attack, keyed (secret) routing", build_gateway(keyed_routing=True))
+    run_act("act 3: same attack, keyed (secret) routing", build_gateway(keyed_router=True))
     asyncio.run(run_act_networked())
     run_act_lifecycle()
     run_act_defense_algebra()

@@ -51,10 +51,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from repro.exceptions import ParameterError
+from repro.service.cluster.ring import HashShardPicker
 from repro.service.config import AttackBudgetConfig, ServiceConfig
 from repro.service.driver import AdversarialTrafficDriver
 from repro.service.gateway import MembershipGateway, RotationEvent
-from repro.service.sharding import HashShardPicker
 
 __all__ = [
     "FrontierWorkload",
@@ -482,8 +482,7 @@ def cheapest_winning_budget(
         )
     winning = by_trials.get(cheapest_trials) if cheapest_trials is not None else None
     return FrontierResult(
-        policy=config.rotation_policy
-        or (f"fill:{config.rotation_threshold:g}" if config.rotation_threshold else "none"),
+        policy=config.rotation_policy or "none",
         target_hits=target_hits,
         cheapest=winning.budget if winning is not None else None,
         winning=winning,

@@ -39,10 +39,10 @@ import asyncio
 
 from repro.exceptions import ReproError
 from repro.experiments.runner import ExperimentResult
+from repro.service.cluster.ring import HashShardPicker
 from repro.service.config import AttackBudgetConfig, ServiceConfig
 from repro.service.driver import AdversarialTrafficDriver, TrafficReport
 from repro.service.gateway import MembershipGateway
-from repro.service.sharding import HashShardPicker
 
 __all__ = ["run"]
 
@@ -113,7 +113,6 @@ def _replay(
         shards=_SHARDS,
         shard_m=_shard_m(scale),
         shard_k=_K,
-        rotation_threshold=None,
         rotation_policy=spec,
     )
     gateway = MembershipGateway.from_config(config)
@@ -154,7 +153,6 @@ def _late_spike_replay(spec: str, scale: float, seed: int) -> tuple[TrafficRepor
         shards=_SHARDS,
         shard_m=_shard_m(scale),
         shard_k=_K,
-        rotation_threshold=None,
         rotation_policy=spec,
     )
     gateway = MembershipGateway.from_config(config)

@@ -48,10 +48,10 @@ from repro.defense.frontier import (
 )
 from repro.exceptions import ReproError
 from repro.experiments.runner import ExperimentResult
+from repro.service.cluster.ring import HashShardPicker
 from repro.service.config import ServiceConfig
 from repro.service.driver import AdversarialTrafficDriver
 from repro.service.gateway import MembershipGateway
-from repro.service.sharding import HashShardPicker
 
 __all__ = ["run"]
 
@@ -103,7 +103,6 @@ def _config(spec: str, shard_m: int) -> ServiceConfig:
         shards=_SHARDS,
         shard_m=shard_m,
         shard_k=_K,
-        rotation_threshold=None,
         rotation_policy=spec,
     )
 

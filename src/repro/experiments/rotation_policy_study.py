@@ -1,12 +1,12 @@
 """Rotation-policy study: lifecycle defences under adversarial traffic.
 
-The ROADMAP's open question: the saturation guard rotates on a fill
+The ROADMAP's open question: the default policy rotates on a fill
 threshold -- how do the alternatives behave under the same attacks?
 This experiment replays the driver's seeded honest / pollution / ghost /
 latency workloads against a gateway running each of the four shipped
 :mod:`repro.service.lifecycle` policies:
 
-* ``fill``      -- the saturation-guard default (retire at 35% fill);
+* ``fill``      -- the fill-threshold default (retire at 35% fill);
 * ``age``       -- dablooms-style op-count recycling, fill-blind;
 * ``adaptive``  -- rotate on a positive-rate spike (the ghost storm's
   signature), the anti-adaptive-adversary defence;
@@ -43,12 +43,12 @@ from repro.core.params import BloomParameters
 from repro.exceptions import SnapshotError
 from repro.experiments.runner import ExperimentResult
 from repro.service.client import MembershipClient
+from repro.service.cluster.ring import HashShardPicker
 from repro.service.config import ServiceConfig
 from repro.service.driver import AdversarialTrafficDriver, TrafficReport
 from repro.service.gateway import MembershipGateway
 from repro.service.lifecycle import parse_policy
 from repro.service.server import MembershipServer
-from repro.service.sharding import HashShardPicker
 from repro.service.snapshots import restore_gateway, snapshot_gateway
 from repro.urlgen.faker import UrlFactory
 
@@ -102,7 +102,6 @@ def _config(scale: float, spec: str) -> ServiceConfig:
         shards=_SHARDS,
         shard_m=max(256, int(4096 * scale)),
         shard_k=_K,
-        rotation_threshold=None,
         rotation_policy=spec,
     )
 

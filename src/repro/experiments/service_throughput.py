@@ -39,13 +39,14 @@ from functools import partial
 from repro.core.bloom import BloomFilter
 from repro.exceptions import SnapshotError
 from repro.experiments.runner import ExperimentResult
-from repro.service.admission import ClientRateLimiter, SaturationGuard
+from repro.service.admission import ClientRateLimiter
 from repro.service.backends import LocalBackend, ProcessPoolBackend, ShardBackend
 from repro.service.client import MembershipClient
+from repro.service.cluster.ring import HashShardPicker, KeyedShardPicker
 from repro.service.driver import AdversarialTrafficDriver, TrafficReport
 from repro.service.gateway import MembershipGateway
+from repro.service.lifecycle import FillThresholdPolicy
 from repro.service.server import MembershipServer
-from repro.service.sharding import HashShardPicker, KeyedShardPicker
 from repro.service.snapshots import restore_gateway, snapshot_gateway
 from repro.urlgen.faker import UrlFactory
 
@@ -111,7 +112,7 @@ def _scenario(
     name: str,
     scale: float,
     seed: int,
-    keyed_routing: bool,
+    keyed_router: bool,
     rate_limit: float | None,
     attack: bool,
     latency: bool = False,
@@ -120,8 +121,8 @@ def _scenario(
     gateway = MembershipGateway(
         lambda: BloomFilter(shard_m, _K),
         shards=_SHARDS,
-        picker=KeyedShardPicker() if keyed_routing else HashShardPicker(),
-        guard=SaturationGuard(_THRESHOLD),
+        picker=KeyedShardPicker() if keyed_router else HashShardPicker(),
+        policy=FillThresholdPolicy(_THRESHOLD),
         limiter=ClientRateLimiter(rate_limit, burst=32) if rate_limit else None,
     )
     # The adversary always aims through the *public* router; when the
@@ -148,7 +149,7 @@ async def _replay_over_tcp(
         factory,
         backend=backend,
         picker=HashShardPicker(),
-        guard=SaturationGuard(_THRESHOLD),
+        policy=FillThresholdPolicy(_THRESHOLD),
     )
     try:
         async with MembershipServer(gateway) as server:
@@ -203,11 +204,11 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
     )
 
     scenarios = [
-        _scenario("honest", scale, seed, keyed_routing=False, rate_limit=None, attack=False),
-        _scenario("aimed-pollution", scale, seed, keyed_routing=False, rate_limit=None, attack=True),
-        _scenario("aimed+rate-limit", scale, seed, keyed_routing=False, rate_limit=400.0, attack=True),
-        _scenario("keyed-routing", scale, seed, keyed_routing=True, rate_limit=None, attack=True),
-        _scenario("latency-attack", scale, seed, keyed_routing=False, rate_limit=None, attack=False, latency=True),
+        _scenario("honest", scale, seed, keyed_router=False, rate_limit=None, attack=False),
+        _scenario("aimed-pollution", scale, seed, keyed_router=False, rate_limit=None, attack=True),
+        _scenario("aimed+rate-limit", scale, seed, keyed_router=False, rate_limit=400.0, attack=True),
+        _scenario("keyed-routing", scale, seed, keyed_router=True, rate_limit=None, attack=True),
+        _scenario("latency-attack", scale, seed, keyed_router=False, rate_limit=None, attack=False, latency=True),
     ]
 
     def add_row(name: str, transport: str, routing: str, report: TrafficReport) -> None:
@@ -283,7 +284,7 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
         lambda: BloomFilter(shard_m, _K),
         shards=_SHARDS,
         picker=HashShardPicker(),
-        guard=SaturationGuard(_THRESHOLD),
+        policy=FillThresholdPolicy(_THRESHOLD),
     )
     restore_gateway(restarted, raw)
     after = _probe_answers(restarted, seed, probe_count)

@@ -96,7 +96,7 @@ def _service_config(transport: str) -> ServiceConfig:
         shards=4,
         shard_m=1 << 16,
         shard_k=4,
-        rotation_threshold=None,
+        rotation_policy=None,
         backend="process" if transport.endswith("procpool") else "local",
     )
 
@@ -151,12 +151,13 @@ async def _run_once(
             elapsed = await _drive(gateway, clients, rounds, size)
         else:
             async with MembershipServer(
-                gateway, pipeline_depth=PIPELINE_DEPTH if coalesce else 0
+                gateway, pipeline_depth=PIPELINE_DEPTH
             ) as server:
                 host, port = server.address
                 # Off = today's baseline wire discipline (pooled v1
-                # connections, serial server); on = one multiplexed v2
-                # connection with PIPELINE_DEPTH requests in flight.
+                # connections, which the server serves serially at any
+                # depth); on = one multiplexed v2 connection with
+                # PIPELINE_DEPTH requests in flight.
                 client = MembershipClient(
                     host, port, pipeline=PIPELINE_DEPTH if coalesce else 0
                 )

@@ -10,19 +10,22 @@ restartable:
   (:class:`ProcessPoolBackend`), behind one batched contract;
 * :mod:`repro.service.gateway` -- the asyncio membership gateway
   fronting N shards with batched query/insert APIs over any backend;
-* :mod:`repro.service.sharding` -- pluggable shard routers (public hash
-  vs the keyed countermeasure applied to routing); the pickers now live
-  in :mod:`repro.service.cluster.ring` and re-export here;
-* :mod:`repro.service.cluster` -- the multi-gateway tier: a
-  consistent-hash ring with virtual nodes assigns global shard ids to
-  gateway nodes, an epoch-versioned :class:`OwnershipMap` makes moves
+* :mod:`repro.service.config` -- :class:`ServiceConfig`, one frozen
+  literal with one spelling per serving setting (geometry, ``router``
+  spec, ``rotation_policy`` spec, admission, backend, coalescing);
+  :meth:`MembershipGateway.from_config` is the one place it becomes
+  objects;
+* :mod:`repro.service.cluster` -- the multi-gateway tier: pluggable
+  shard routers (:mod:`repro.service.cluster.ring`: public hash vs the
+  keyed countermeasure applied to routing), a consistent-hash ring with
+  virtual nodes assigning global shard ids to gateway nodes, an
+  epoch-versioned :class:`OwnershipMap` makes moves
   explicit, :class:`ClusterClient` routes batches and follows
   ``ST_NOT_OWNER`` redirects, and :class:`ClusterHarness` runs N
   gateways (in-process or tcp-local) behind a gateway-shaped
   :class:`ClusterView` facade; ownership moves by byte-exact snapshot
   handoff of one shard's filter bits + lifecycle + telemetry;
-* :mod:`repro.service.admission` -- per-client rate limiting and the
-  legacy saturation guard;
+* :mod:`repro.service.admission` -- per-client rate limiting;
 * :mod:`repro.service.lifecycle` -- shard lifecycle management: pluggable
   rotation policies (fill threshold, op-age recycling, adaptive
   positive-rate, rotate-on-restore) over per-shard observations,
@@ -51,7 +54,6 @@ restartable:
 from repro.service.admission import (
     ClientRateLimiter,
     RateLimited,
-    SaturationGuard,
     TokenBucket,
 )
 from repro.service.backends import (
@@ -67,7 +69,11 @@ from repro.service.cluster import (
     ClusterHarness,
     ClusterView,
     HashRing,
+    HashShardPicker,
+    KeyedShardPicker,
     OwnershipMap,
+    ShardPicker,
+    parse_picker,
 )
 from repro.service.coalesce import MicroBatchCoalescer
 from repro.service.config import AttackBudgetConfig, ServiceConfig
@@ -94,15 +100,8 @@ from repro.service.lifecycle import (
     ShardObservation,
     TimeBasedRecyclingPolicy,
     parse_policy,
-    policy_from_guard,
 )
 from repro.service.server import MembershipServer
-from repro.service.sharding import (
-    HashShardPicker,
-    KeyedShardPicker,
-    ShardPicker,
-    parse_picker,
-)
 from repro.service.snapshots import (
     GatewaySnapshot,
     ShardBlock,
@@ -155,7 +154,6 @@ __all__ = [
     "RotationDecision",
     "RotationEvent",
     "RotationPolicy",
-    "SaturationGuard",
     "ServiceConfig",
     "ServiceTransport",
     "ShardBackend",
@@ -173,7 +171,6 @@ __all__ = [
     "parse_picker",
     "parse_policy",
     "parse_shard_block",
-    "policy_from_guard",
     "render_snapshots",
     "replay",
     "restore_gateway",

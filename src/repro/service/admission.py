@@ -1,12 +1,13 @@
-"""Admission control: per-client rate limiting and the saturation guard.
+"""Admission control: per-client rate limiting.
 
 Two of the paper's attack classes are resource attacks -- pollution
 pushes a filter toward saturation, query blowup burns server time -- and
 both are cheapest when the service admits unlimited traffic.  This
-module supplies the deployment-side brakes: a token-bucket rate limiter
-keyed by client id, and a saturation guard that watches each shard's
-fill ratio and triggers rotation (a fresh filter) once it crosses a
-threshold -- the recycled-filter countermeasure, operationalized.
+module supplies the deployment-side brake on the way in: a token-bucket
+rate limiter keyed by client id.  The brake on the way out -- rotating
+a saturated shard to a fresh filter, the recycled-filter countermeasure
+-- is a rotation policy (:mod:`repro.service.lifecycle`, e.g.
+``rotation_policy="fill:0.5"``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ __all__ = [
     "RateLimited",
     "TokenBucket",
     "ClientRateLimiter",
-    "SaturationGuard",
     "filter_state",
 ]
 
@@ -30,8 +30,8 @@ def filter_state(filt: object) -> tuple[int, float]:
 
     Accepts either property or method spellings (``BloomFilter`` exposes
     properties, ``BitVector`` methods); objects without the attributes
-    report ``(0, 0.0)``.  The saturation guard, the gateway's telemetry
-    and the traffic driver all read shard state through this one probe.
+    report ``(0, 0.0)``.  The backends' shard-state probe reads filters
+    through it.
     """
     weight = getattr(filt, "hamming_weight", 0)
     fill = getattr(filt, "fill_ratio", 0.0)
@@ -132,36 +132,3 @@ class ClientRateLimiter:
             return True
         self.denied += 1
         return False
-
-
-class SaturationGuard:
-    """Rotate a shard once its fill ratio crosses ``threshold``.
-
-    Legacy interface: the gateway now delegates rotation to the
-    :mod:`repro.service.lifecycle` policy layer, and a guard handed to
-    it is mapped onto an equivalent :class:`~repro.service.lifecycle.
-    FillThresholdPolicy` (via :func:`~repro.service.lifecycle.
-    policy_from_guard`).  The class stays because the threshold rule is
-    the sensible default and plenty of callers build one directly.
-
-    The guard is deliberately dumb -- it looks at one number the filter
-    already maintains -- because that is what makes it deployable: no
-    attack detection, no per-client attribution, just a bound on how
-    much damage any insertion stream (honest or crafted) can do before
-    the filter is recycled.  The paper's pollution attack saturates a
-    shard *faster* than honest traffic, so under this guard the attack's
-    main effect becomes triggering earlier rotations.
-    """
-
-    def __init__(self, threshold: float = 0.5) -> None:
-        if not 0 < threshold <= 1:
-            raise ParameterError("threshold must be in (0, 1]")
-        self.threshold = threshold
-
-    def should_rotate(self, filt: object) -> bool:
-        """True when ``filt`` reports a fill ratio at/above the threshold.
-
-        Works with anything :func:`filter_state` understands; structures
-        that report no fill ratio are never rotated.
-        """
-        return filter_state(filt)[1] >= self.threshold

@@ -12,7 +12,7 @@ that a pluggable layer so the same serving API can front
 
 Both speak the same small contract: batched insert/query that return the
 answers *and* the shard's post-operation state in one hop (so the
-saturation guard never needs a second round trip), plus rotation,
+rotation policy never needs a second round trip), plus rotation,
 snapshot export/restore, and a white-box ``shard_view`` for the paper's
 adversary model and for tests.
 

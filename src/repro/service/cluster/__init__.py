@@ -4,8 +4,8 @@ One :class:`~repro.service.gateway.MembershipGateway` used to own every
 shard lock; this package scales the serving layer past one event loop by
 making shard ownership explicit and movable:
 
-* :mod:`~repro.service.cluster.ring` -- the shard routers (moved here
-  from ``service/sharding.py``, with a parsed spec grammar) and a
+* :mod:`~repro.service.cluster.ring` -- the shard routers (with the
+  parsed spec grammar behind ``ServiceConfig.router``) and a
   consistent-hash ring with virtual nodes that assigns global shard ids
   to gateway nodes, in a public (Murmur) or keyed (SipHash) variant;
 * :mod:`~repro.service.cluster.ownership` -- the epoch-versioned

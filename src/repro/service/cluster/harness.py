@@ -4,8 +4,10 @@
 :class:`~repro.service.config.ServiceConfig`: a consistent-hash ring
 assigns the global shard space to named nodes, every node gets a
 :class:`~repro.service.gateway.MembershipGateway` owning exactly its
-subset, and :meth:`client` mints routing
-:class:`~repro.service.cluster.client.ClusterClient` views.  Two modes:
+subset (built by ``MembershipGateway.from_config``, so a node is
+configured exactly like a standalone gateway), and :meth:`client` mints
+routing :class:`~repro.service.cluster.client.ClusterClient` views.  Two
+modes:
 
 * ``"inproc"`` -- transports are the gateway objects themselves; zero
   wire cost, and :meth:`move_shard` is atomic with respect to client
@@ -28,21 +30,12 @@ from __future__ import annotations
 import asyncio
 from typing import Sequence
 
-from repro.core.bloom import BloomFilter
-from repro.countermeasures.keyed import KeyedBloomFilter
 from repro.exceptions import ParameterError
 from repro.service.cluster.client import ClusterClient
 from repro.service.cluster.ownership import OwnershipMap
-from repro.service.cluster.ring import (
-    HashRing,
-    HashShardPicker,
-    KeyedShardPicker,
-    ShardPicker,
-    parse_picker,
-)
+from repro.service.cluster.ring import HashRing, ShardPicker
 from repro.service.config import ServiceConfig
 from repro.service.gateway import MembershipGateway
-from repro.service.lifecycle import FillThresholdPolicy, parse_policy
 from repro.service.telemetry import render_snapshots
 
 __all__ = ["ClusterHarness", "ClusterView"]
@@ -238,52 +231,27 @@ class ClusterHarness:
         self.ring = HashRing(nodes, picker=ring_picker, vnodes=vnodes)
         self.ownership = OwnershipMap.from_ring(self.ring, total_shards)
         # One shared item router: gateways and clients must agree, and a
-        # keyed picker with an unpinned key only exists as this object.
-        if config.router is not None:
-            self.picker: ShardPicker = parse_picker(config.router)
-        elif config.keyed_routing:
-            self.picker = KeyedShardPicker(config.routing_key)
-        else:
-            self.picker = HashShardPicker()
-        self.gateways: dict[str, MembershipGateway] = {
-            node: self._build_gateway(node) for node in self.ring.nodes
-        }
+        # keyed picker with an unpinned key only exists as one object --
+        # the first gateway resolves config.router, the rest share it.
+        picker: ShardPicker | None = None
+        self.gateways: dict[str, MembershipGateway] = {}
+        for node in self.ring.nodes:
+            gateway = MembershipGateway.from_config(
+                config,
+                picker=picker,
+                shard_ids=self.ownership.shards_of(node),
+                total_shards=self.ownership.total_shards,
+                name=node,
+                ownership=self.ownership,
+            )
+            picker = gateway.picker
+            self.gateways[node] = gateway
+        self.picker: ShardPicker = picker
         self._servers: dict[str, object] = {}
         self._server_addresses: dict[str, tuple[str, int]] = {}
         self._clients: list[object] = []
         self._move_lock = asyncio.Lock()
         self._started = mode == "inproc"
-
-    def _build_gateway(self, node: str) -> MembershipGateway:
-        config = self.config
-        if config.keyed_filters:
-            factory = lambda: KeyedBloomFilter(  # noqa: E731
-                config.shard_m, config.shard_k, key=config.filter_key
-            )
-        else:
-            factory = lambda: BloomFilter(config.shard_m, config.shard_k)  # noqa: E731
-        # Policies are parsed per gateway: stateful wrappers must not
-        # share scratch across nodes.
-        if config.rotation_policy is not None:
-            policy = parse_policy(config.rotation_policy)
-        elif config.rotation_threshold is not None:
-            policy = FillThresholdPolicy(config.rotation_threshold)
-        else:
-            policy = None
-        from repro.service.admission import ClientRateLimiter
-
-        return MembershipGateway(
-            factory,
-            picker=self.picker,
-            limiter=ClientRateLimiter(config.rate_limit, config.burst),
-            policy=policy,
-            coalesce_window_us=config.coalesce_window_us,
-            coalesce_max_batch=config.coalesce_max_batch,
-            shard_ids=self.ownership.shards_of(node),
-            total_shards=self.ownership.total_shards,
-            name=node,
-            ownership=self.ownership,
-        )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -295,9 +263,7 @@ class ClusterHarness:
             from repro.service.server import MembershipServer
 
             for node, gateway in self.gateways.items():
-                server = MembershipServer(
-                    gateway, pipeline_depth=self.config.pipeline_depth
-                )
+                server = MembershipServer(gateway)
                 self._server_addresses[node] = await server.start()
                 self._servers[node] = server
             self._started = True
@@ -315,9 +281,7 @@ class ClusterHarness:
 
             transports = {}
             for node, (host, port) in self._server_addresses.items():
-                transport = MembershipClient(
-                    host, port, pipeline=self.config.pipeline_depth
-                )
+                transport = MembershipClient(host, port)
                 transports[node] = transport
                 self._clients.append(transport)
         return ClusterClient(

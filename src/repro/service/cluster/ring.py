@@ -1,21 +1,22 @@
 """Shard routers and the consistent-hash ring for the cluster tier.
 
-The shard pickers lived in ``service/sharding.py`` while one gateway
-owned every shard; the cluster tier reuses the exact same hash choice
-one layer up (shard id -> owning gateway node), so they moved here and
-``sharding.py`` re-exports them.  The adversarial framing carries over
-unchanged: a *public* Murmur ring lets the adversary compute both the
-item's shard and the shard's node offline (aim every crafted item at
-one shard of one gateway), while a *keyed* SipHash ring reduces the
-attacker to spraying -- the same MAC countermeasure as
-:mod:`repro.countermeasures.keyed`, applied to placement.
+One family of shard pickers serves both layers: the gateway routes an
+item to a shard with one, and the cluster tier reuses the exact same
+hash choice one layer up (shard id -> owning gateway node).  The
+adversarial framing is the same at both: a *public* Murmur ring lets
+the adversary compute both the item's shard and the shard's node
+offline (aim every crafted item at one shard of one gateway), while a
+*keyed* SipHash ring reduces the attacker to spraying -- the same MAC
+countermeasure as :mod:`repro.countermeasures.keyed`, applied to
+placement.
 
-Pickers also gained a parsed spec grammar mirroring
+Pickers have a parsed spec grammar mirroring
 :func:`~repro.service.lifecycle.parse_policy`: ``picker.spec()`` emits
 ``"murmur:0x5a4d"`` / ``"siphash:<32-hex-key>"`` and
-:func:`parse_picker` round-trips it, so ring/router choice is a
+:func:`parse_picker` round-trips it, so the item router is the
 validated :class:`~repro.service.config.ServiceConfig` string knob
-instead of a constructed object.
+``router`` -- the only way a config picks (or pins the key of) its
+router.
 
 :class:`HashRing` is the placement rule: each node projects ``vnodes``
 virtual points onto the hash circle, each shard id hashes to a point,
@@ -143,7 +144,8 @@ def parse_picker(spec: str) -> ShardPicker:
         "siphash:<32 hex>"   -> KeyedShardPicker(bytes.fromhex(key))
 
     Raises :class:`~repro.exceptions.ConfigError` on unknown kinds,
-    malformed arguments, wrong key lengths and trailing garbage --
+    malformed or empty arguments (``"siphash:"`` is a typo, not a
+    request for a fresh key), wrong key lengths and trailing garbage --
     mirroring :func:`~repro.service.lifecycle.parse_policy` so configs
     fail at build time, not at serve time.
     """
@@ -164,7 +166,7 @@ def parse_picker(spec: str) -> ShardPicker:
             raise ConfigError(f"murmur seed {arg} outside the u32 range")
         return HashShardPicker(seed)
     if kind == "siphash":
-        if not sep or not arg:
+        if not sep:
             return KeyedShardPicker()
         try:
             key = bytes.fromhex(arg)

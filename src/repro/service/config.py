@@ -1,10 +1,11 @@
 """Configuration bundles for the membership gateway and its adversary.
 
 One frozen dataclass holds every deployment knob -- shard geometry,
-routing mode, admission limits, the saturation threshold -- so an
-experiment or demo can describe a whole service in one literal and
-rebuild it with ``MembershipGateway.from_config`` (identically, provided
-any keyed modes pin their keys; unpinned keys are drawn fresh per build).
+router spec, admission limits, the rotation policy spec -- each under
+exactly one name, so an experiment or demo can describe a whole service
+in one literal and rebuild it with ``MembershipGateway.from_config``,
+the one place a config becomes objects (identically, provided any keyed
+modes pin their keys; unpinned keys are drawn fresh per build).
 
 :class:`AttackBudgetConfig` is the adversary-side counterpart: the
 resource bounds of one attack campaign (total trials, request rate,
@@ -32,12 +33,6 @@ class ServiceConfig:
         Number of filter shards behind the router.
     shard_m, shard_k:
         Geometry of each shard's Bloom filter.
-    rotation_threshold:
-        Legacy knob: fill ratio at which a shard is retired and a fresh
-        filter swapped in (the paper's recycled-filter countermeasure).
-        Maps to :class:`~repro.service.lifecycle.FillThresholdPolicy`
-        unchanged; ``None`` disables rotation (unless
-        ``rotation_policy`` is set).
     rotation_policy:
         Shard lifecycle policy spec (see :func:`~repro.service.
         lifecycle.parse_policy`): leaf rules (``"fill:0.5"``,
@@ -46,37 +41,36 @@ class ServiceConfig:
         ``"never"``) or any composition of them --
         ``"(adaptive:0.8:24:32&fill:0.5)|age:4000"``,
         ``"cooldown:200(hysteresis:2(adaptive:0.85:24:32))"``, ``"!"``
-        negation.  Malformed specs raise
+        negation.  The default ``"fill:0.5"`` retires a shard once half
+        its bits are set (the paper's recycled-filter countermeasure);
+        ``None`` disables rotation.  Malformed specs raise
         :class:`~repro.exceptions.ConfigError` at config build time.
-        Wins over ``rotation_threshold`` when both are set; ``None``
-        falls back to the legacy knob.
     rate_limit:
         Per-client admitted operations per second; ``None`` means
         unlimited.
     burst:
         Token-bucket burst size used with ``rate_limit``.
-    keyed_routing:
-        Route items to shards with a secret SipHash key instead of a
-        public hash, so an adversary cannot aim traffic at one shard.
     router:
         Shard-router spec string (see :func:`~repro.service.cluster.
         ring.parse_picker`): ``"murmur"`` / ``"murmur:0x5a4d"`` for the
-        public router, ``"siphash"`` / ``"siphash:<32 hex chars>"`` for
-        the keyed one.  Wins over ``keyed_routing``/``routing_key`` when
-        set; malformed specs raise :class:`~repro.exceptions.
-        ConfigError` at config build time.  Note ``"siphash"`` without a
-        key draws one fresh per build (pin the key in the spec for
-        reproducibility), and the spec string embeds that key -- treat
-        configs with keyed specs as secrets.
+        public router (``None``, the default, means ``"murmur"``),
+        ``"siphash"`` / ``"siphash:<32 hex chars>"`` for the keyed one,
+        which routes items with a secret SipHash key so an adversary
+        cannot aim traffic at one shard.  Malformed specs raise
+        :class:`~repro.exceptions.ConfigError` at config build time.
+        Note ``"siphash"`` without a key draws one fresh per build (pin
+        the key in the spec for reproducibility or a snapshot restore),
+        and the spec string embeds that key -- treat configs with keyed
+        specs as secrets.
     keyed_filters:
         Build each shard as a :class:`~repro.countermeasures.keyed.
         KeyedBloomFilter` (per-shard secret key) instead of the default
         unkeyed recycled-SHA-512 filter.
-    routing_key, filter_key:
-        Explicit 16-byte secrets for the keyed modes.  ``None`` draws
+    filter_key:
+        Explicit 16-byte secret for ``keyed_filters``.  ``None`` draws
         fresh random keys at build time -- note that such a gateway
         cannot be rebuilt identically from the config alone; pin the
-        keys when reproducibility (or a snapshot restore) matters.
+        key when reproducibility (or a snapshot restore) matters.
     backend:
         Where the shard filters live: ``"local"`` keeps them in the
         gateway's process (the default, zero-overhead arrangement);
@@ -92,45 +86,32 @@ class ServiceConfig:
         ``coalesce_max_batch`` of 0 (default) disables coalescing and
         keeps the serving path byte-identical to the legacy gateway;
         a non-zero window requires a non-zero max batch.
-    pipeline_depth:
-        Requests a single server connection may have in flight at once
-        (codec v2 correlation-id pipelining).  0 (default) dispatches
-        serially, the legacy behaviour; v2 frames still get their ids
-        echoed back.
     """
 
     shards: int = 4
     shard_m: int = 4096
     shard_k: int = 4
-    rotation_threshold: float | None = 0.5
-    rotation_policy: str | None = None
+    rotation_policy: str | None = "fill:0.5"
     rate_limit: float | None = None
     burst: int = 64
-    keyed_routing: bool = False
     keyed_filters: bool = False
     router: str | None = None
-    routing_key: bytes | None = None
     filter_key: bytes | None = None
     backend: str = "local"
     coalesce_window_us: int = 0
     coalesce_max_batch: int = 0
-    pipeline_depth: int = 0
 
     def __post_init__(self) -> None:
         if self.backend not in ("local", "process"):
             raise ParameterError(
                 f"backend must be 'local' or 'process', got {self.backend!r}"
             )
-        for name in ("routing_key", "filter_key"):
-            key = getattr(self, name)
-            if key is not None and len(key) != 16:
-                raise ParameterError(f"{name} must be exactly 16 bytes")
+        if self.filter_key is not None and len(self.filter_key) != 16:
+            raise ParameterError("filter_key must be exactly 16 bytes")
         if self.shards <= 0:
             raise ParameterError(f"shards must be positive, got {self.shards}")
         if self.shard_m <= 0 or self.shard_k <= 0:
             raise ParameterError("shard_m and shard_k must be positive")
-        if self.rotation_threshold is not None and not 0 < self.rotation_threshold <= 1:
-            raise ParameterError("rotation_threshold must be in (0, 1]")
         if self.rotation_policy is not None:
             # Parse for validation only; the gateway parses again at
             # build time (policies are cheap, the config stays frozen
@@ -148,7 +129,7 @@ class ServiceConfig:
             raise ParameterError("rate_limit must be positive (or None)")
         if self.burst <= 0:
             raise ParameterError("burst must be positive")
-        for name in ("coalesce_window_us", "coalesce_max_batch", "pipeline_depth"):
+        for name in ("coalesce_window_us", "coalesce_max_batch"):
             if getattr(self, name) < 0:
                 raise ParameterError(f"{name} must be non-negative")
         if self.coalesce_window_us > 0 and self.coalesce_max_batch == 0:

@@ -13,7 +13,7 @@ state (white-box) and crafts with :class:`~repro.adversary.pollution.
 PollutionAttack` / :class:`~repro.adversary.query.GhostForgery` /
 :class:`~repro.adversary.query.LatencyQueryForgery`, but it must route
 its items through the same shard router as everyone else.  With the
-public :class:`~repro.service.sharding.HashShardPicker` it can aim every
+public :class:`~repro.service.cluster.ring.HashShardPicker` it can aim every
 crafted item at one shard; hand the driver a mismatched
 ``attacker_router`` (the gateway holding a keyed one) and the same
 attack sprays shards uselessly.  Crafting re-binds to the *current*
@@ -63,8 +63,8 @@ from repro.exceptions import (
     ParameterError,
 )
 from repro.service.admission import RateLimited
+from repro.service.cluster.ring import ShardPicker
 from repro.service.gateway import MembershipGateway
-from repro.service.sharding import ShardPicker
 from repro.service.telemetry import ShardSnapshot, render_snapshots
 from repro.urlgen.faker import UrlFactory
 

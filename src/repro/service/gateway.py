@@ -51,27 +51,12 @@ from repro.core.bloom import BloomFilter
 from repro.core.interfaces import MembershipFilter
 from repro.countermeasures.keyed import KeyedBloomFilter, generate_key
 from repro.exceptions import NotOwner, ParameterError
-from repro.service.admission import (
-    ClientRateLimiter,
-    RateLimited,
-    SaturationGuard,
-)
+from repro.service.admission import ClientRateLimiter, RateLimited
 from repro.service.backends import LocalBackend, ProcessPoolBackend, ShardBackend, ShardState
-from repro.service.cluster.ring import (
-    HashShardPicker,
-    KeyedShardPicker,
-    ShardPicker,
-    parse_picker,
-)
+from repro.service.cluster.ring import HashShardPicker, ShardPicker, parse_picker
 from repro.service.coalesce import MicroBatchCoalescer
 from repro.service.config import ServiceConfig
-from repro.service.lifecycle import (
-    FillThresholdPolicy,
-    RotationPolicy,
-    ShardLifecycleState,
-    parse_policy,
-    policy_from_guard,
-)
+from repro.service.lifecycle import RotationPolicy, ShardLifecycleState, parse_policy
 from repro.service.telemetry import (
     CoalesceTelemetry,
     ShardSnapshot,
@@ -126,15 +111,11 @@ class MembershipGateway:
         backend's count wins).
     picker:
         Shard router; defaults to the (attackable) public
-        :class:`~repro.service.sharding.HashShardPicker`.
-    guard:
-        Legacy saturation guard; mapped onto the policy layer via
-        :func:`~repro.service.lifecycle.policy_from_guard` when no
-        explicit ``policy`` is given.
+        :class:`~repro.service.cluster.ring.HashShardPicker`.
     policy:
-        Shard rotation policy (see :mod:`repro.service.lifecycle`);
-        wins over ``guard``.  ``None`` (with no guard) disables
-        rotation.
+        Shard rotation policy (see :mod:`repro.service.lifecycle`), e.g.
+        ``FillThresholdPolicy(0.5)`` or ``parse_policy("fill:0.5")``.
+        ``None`` disables rotation.
     limiter:
         Per-client admission; defaults to unlimited.
     clock:
@@ -170,7 +151,6 @@ class MembershipGateway:
         filter_factory: Callable[[], MembershipFilter] | None = None,
         shards: int = 4,
         picker: ShardPicker | None = None,
-        guard: SaturationGuard | None = None,
         limiter: ClientRateLimiter | None = None,
         clock: Callable[[], float] = time.perf_counter,
         backend: ShardBackend | None = None,
@@ -230,9 +210,6 @@ class MembershipGateway:
         self.name = name
         self.ownership = ownership
         self.picker = picker or HashShardPicker()
-        self.guard = guard
-        if policy is None and guard is not None:
-            policy = policy_from_guard(guard)
         self.policy = policy
         self.limiter = limiter or ClientRateLimiter(None)
         self._clock = clock
@@ -251,9 +228,27 @@ class MembershipGateway:
         self.configure_coalescing(coalesce_window_us, coalesce_max_batch)
 
     @classmethod
-    def from_config(cls, config: ServiceConfig) -> "MembershipGateway":
-        """Build a gateway (backend, filters, router, admission) from one
-        config.
+    def from_config(
+        cls,
+        config: ServiceConfig,
+        *,
+        picker: ShardPicker | None = None,
+        shard_ids: Sequence[int] | None = None,
+        total_shards: int | None = None,
+        name: str = "gateway",
+        ownership: "OwnershipMap | None" = None,
+    ) -> "MembershipGateway":
+        """Build a gateway (backend, filters, router, rotation policy,
+        admission) from one config -- the only place a
+        :class:`~repro.service.config.ServiceConfig` becomes objects.
+
+        The keyword arguments are placement, not configuration, and
+        pass straight through to the constructor: a cluster node owns
+        ``shard_ids`` out of ``total_shards`` under ``name``.  ``picker``
+        overrides ``config.router`` so the nodes of one cluster can share
+        one router object (a keyed router with an unpinned key exists
+        only as that object).  The policy is parsed per call, so
+        stateful wrappers never share scratch across gateways.
 
         With ``backend="process"`` the shard factory must be
         deterministic so the workers, the parent's white-box views and
@@ -261,49 +256,33 @@ class MembershipGateway:
         therefore resolved to one fresh key *here* (shared by all
         shards) rather than drawn per shard as the local backend does.
         """
-        if config.backend == "process":
-            key = config.filter_key
-            if config.keyed_filters and key is None:
-                key = generate_key(16)
-            factory: Callable[[], MembershipFilter] = partial(
-                _config_filter, config.shard_m, config.shard_k,
-                config.keyed_filters, key,
-            )
-            backend: ShardBackend | None = ProcessPoolBackend(factory, config.shards)
-        else:
-            if config.keyed_filters:
-                factory = lambda: KeyedBloomFilter(
-                    config.shard_m, config.shard_k, key=config.filter_key
-                )
-            else:
-                factory = lambda: BloomFilter(config.shard_m, config.shard_k)
-            backend = None
-        if config.router is not None:
-            picker: ShardPicker = parse_picker(config.router)
-        elif config.keyed_routing:
-            picker = KeyedShardPicker(config.routing_key)
-        else:
-            picker = HashShardPicker()
-        # The lifecycle knob wins; the legacy rotation_threshold still
-        # maps to the saturation-guard behaviour (FillThresholdPolicy).
-        policy: RotationPolicy | None = None
-        guard = None
-        if config.rotation_policy is not None:
-            policy = parse_policy(config.rotation_policy)
-        elif config.rotation_threshold is not None:
-            guard = SaturationGuard(config.rotation_threshold)
-            policy = FillThresholdPolicy(config.rotation_threshold)
-        limiter = ClientRateLimiter(config.rate_limit, config.burst)
+        slots = config.shards if shard_ids is None else len(shard_ids)
+        process = config.backend == "process"
+        key = config.filter_key
+        if process and config.keyed_filters and key is None:
+            key = generate_key(16)
+        factory = partial(
+            _config_filter, config.shard_m, config.shard_k, config.keyed_filters, key
+        )
+        if picker is None and config.router is not None:
+            picker = parse_picker(config.router)
         return cls(
             factory,
-            shards=config.shards,
+            shards=slots,
             picker=picker,
-            guard=guard,
-            limiter=limiter,
-            backend=backend,
-            policy=policy,
+            limiter=ClientRateLimiter(config.rate_limit, config.burst),
+            backend=ProcessPoolBackend(factory, slots) if process else None,
+            policy=(
+                parse_policy(config.rotation_policy)
+                if config.rotation_policy is not None
+                else None
+            ),
             coalesce_window_us=config.coalesce_window_us,
             coalesce_max_batch=config.coalesce_max_batch,
+            shard_ids=shard_ids,
+            total_shards=total_shards,
+            name=name,
+            ownership=ownership,
         )
 
     # ------------------------------------------------------------------
@@ -680,7 +659,7 @@ class MembershipGateway:
                 telemetry.positives += positives
                 telemetry.query_latency.record(elapsed)
                 self.lifecycle[slot].note_queries(len(items), positives)
-            # Unlike the fill-only guard, lifecycle policies react to
+            # Unlike a fill-only rule, lifecycle policies react to
             # the query stream too (positive-rate spikes, op age), so
             # the decision runs on both paths.  Answers were computed
             # before any swap, so this batch's reply is unaffected.

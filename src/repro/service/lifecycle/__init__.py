@@ -13,8 +13,8 @@ package makes that axis pluggable and *composable*:
   all persisted in gateway snapshots);
 * :mod:`~repro.service.lifecycle.policies` -- the
   :class:`RotationPolicy` contract and the leaf policies:
-  :class:`FillThresholdPolicy` (the legacy saturation guard;
-  ``ServiceConfig.rotation_threshold`` maps here),
+  :class:`FillThresholdPolicy` (the saturation threshold behind the
+  default ``ServiceConfig.rotation_policy="fill:0.5"``),
   :class:`TimeBasedRecyclingPolicy` (dablooms-style op-age recycling),
   :class:`AdaptivePositiveRatePolicy` (the FP-spike tripwire, windowed
   or since-rotation), :class:`RotateOnRestorePolicy` (expire shards
@@ -37,7 +37,7 @@ parse_policy`` keeps working) and grew the combinators.
 """
 
 from repro.service.lifecycle.combinators import AllOf, AnyOf, Cooldown, Hysteresis, Not
-from repro.service.lifecycle.parser import parse_policy, policy_from_guard
+from repro.service.lifecycle.parser import parse_policy
 from repro.service.lifecycle.policies import (
     AdaptivePositiveRatePolicy,
     FillThresholdPolicy,
@@ -70,5 +70,4 @@ __all__ = [
     "AdaptivePositiveRatePolicy",
     "RotateOnRestorePolicy",
     "parse_policy",
-    "policy_from_guard",
 ]

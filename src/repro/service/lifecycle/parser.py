@@ -23,9 +23,9 @@ Examples: ``fill:0.5``, ``adaptive:0.8:24:32``,
 ``cooldown:200(hysteresis:2(adaptive:0.85:24:32))``,
 ``restore:2000+fill:0.5`` (the legacy wrap form, unchanged).
 
-Malformed specs -- unknown kinds, wrong arity, non-numeric arguments,
-unbalanced parentheses, and *trailing garbage after a valid spec*
-(``fill:0.5xyz``, ``fill:0.5)``) -- are rejected with
+Malformed specs -- unknown kinds, wrong arity, non-numeric or empty
+arguments, unbalanced parentheses, and *trailing garbage after a valid
+spec* (``fill:0.5xyz``, ``fill:0.5)``, ``never:``) -- are rejected with
 :class:`~repro.exceptions.ConfigError` before any policy is built.
 Numbers are strict decimal literals: the lenient ``float()``/``int()``
 forms (``1_000``, ``nan``, ``inf``) do not parse.
@@ -34,7 +34,6 @@ forms (``1_000``, ``nan``, ``inf``) do not parse.
 from __future__ import annotations
 
 import re
-import warnings
 
 from repro.exceptions import ConfigError
 from repro.service.lifecycle.combinators import AllOf, AnyOf, Cooldown, Hysteresis, Not
@@ -46,9 +45,8 @@ from repro.service.lifecycle.policies import (
     RotationPolicy,
     TimeBasedRecyclingPolicy,
 )
-from repro.service.lifecycle.state import KEEP, RotationDecision
 
-__all__ = ["parse_policy", "policy_from_guard"]
+__all__ = ["parse_policy"]
 
 #: One token: an operator/paren, or a word (kind plus ':'-joined args).
 _TOKEN = re.compile(r"\s*(?:(?P<op>[&|!()+])|(?P<word>[A-Za-z0-9_.:]+))")
@@ -157,8 +155,10 @@ class _Parser:
                 f"expected a policy, got {token!r} in rotation policy spec "
                 f"{self.spec!r}"
             )
-        kind, _, args = token.partition(":")
-        parts = args.split(":") if args else []
+        kind, sep, args = token.partition(":")
+        # A bare separator ("never:", "fill:") is an empty argument, not
+        # no arguments, so it fails arity/number checks like any typo.
+        parts = args.split(":") if sep else []
         if kind in ("cooldown", "hysteresis"):
             if len(parts) != 1:
                 raise ConfigError(
@@ -232,56 +232,3 @@ def parse_policy(spec: str) -> RotationPolicy:
             f"rotation policy spec must be a non-empty string, got {spec!r}"
         )
     return _Parser(spec.strip()).parse()
-
-
-# ----------------------------------------------------------------------
-# Legacy-guard mapping (deprecated)
-# ----------------------------------------------------------------------
-
-
-class _GuardPolicy(RotationPolicy):
-    """Deprecated adapter wrapping a legacy guard object (anything with
-    ``should_rotate``) so pre-policy callers keep working.
-
-    Its ``spec()`` is just the name ``"guard"`` and does *not* parse
-    back -- an opaque callable cannot round-trip through the config
-    grammar.  New code should implement :class:`RotationPolicy`
-    directly.
-    """
-
-    name = "guard"
-    needs_recent = False
-
-    def __init__(self, guard) -> None:
-        self.guard = guard
-
-    def evaluate(self, observation) -> RotationDecision:
-        # The observation exposes hamming_weight/fill_ratio attributes,
-        # which is all filter_state-style guards read.
-        if self.guard.should_rotate(observation):
-            return RotationDecision(rotate=True, reason="guard")
-        return KEEP
-
-
-def policy_from_guard(guard) -> RotationPolicy:
-    """Deprecated: map a legacy saturation guard onto the policy layer.
-
-    A plain :class:`~repro.service.admission.SaturationGuard` becomes an
-    exact :class:`FillThresholdPolicy` (so snapshots written through the
-    mapped policy stay byte-identical to the ``rotation_threshold``
-    config path); anything else with a ``should_rotate`` is wrapped
-    as-is.  Pass ``ServiceConfig.rotation_policy`` (or a
-    :class:`RotationPolicy` instance) instead.
-    """
-    warnings.warn(
-        "policy_from_guard() and the gateway 'guard' parameter are "
-        "deprecated; pass rotation_policy='fill:<threshold>' (or any "
-        "RotationPolicy) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.service.admission import SaturationGuard
-
-    if isinstance(guard, SaturationGuard):
-        return FillThresholdPolicy(guard.threshold)
-    return _GuardPolicy(guard)

@@ -3,8 +3,8 @@
 The paper's strongest deployable countermeasure is filter recycling
 (Section 8, Table 2): retire a shard's filter before an adversary can
 finish measuring it.  *When* to retire is a policy question, and the
-literature answers it several ways -- fill thresholds (the saturation
-guard), dablooms-style age/op-count recycling, and adaptive reactions to
+literature answers it several ways -- fill thresholds (a saturation
+bound), dablooms-style age/op-count recycling, and adaptive reactions to
 the query stream itself (Naor-Yogev's adversarial model is exactly an
 attacker probing a filter over time).  A :class:`RotationPolicy`
 consumes one per-shard :class:`~repro.service.lifecycle.state.
@@ -91,9 +91,7 @@ class RotationPolicy(ABC):
 
     def spec(self) -> str:
         """Canonical config string; ``parse_policy(p.spec())`` rebuilds
-        an equivalent policy for every shipped policy and combinator.
-        (Adapters wrapping arbitrary guard objects are the one exception
-        -- an opaque ``should_rotate`` callable has no spec grammar.)"""
+        an equivalent policy for every shipped policy and combinator."""
         return self.name
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -114,9 +112,10 @@ class NeverRotatePolicy(RotationPolicy):
 class FillThresholdPolicy(RotationPolicy):
     """Rotate once the shard's fill ratio reaches ``threshold``.
 
-    Byte-for-byte the original saturation-guard behaviour, expressed as
-    a policy; the legacy ``ServiceConfig.rotation_threshold`` knob maps
-    here unchanged.
+    The paper's recycled-filter countermeasure as a policy: a bound on
+    how much damage any insertion stream (honest or crafted) can do
+    before the filter is recycled.  ``ServiceConfig``'s default
+    ``rotation_policy="fill:0.5"`` parses to ``FillThresholdPolicy(0.5)``.
     """
 
     name = "fill"

@@ -68,9 +68,8 @@ class MembershipServer:
         :attr:`address` after :meth:`start`).
     pipeline_depth:
         How many v2 (correlated) requests one connection may have in
-        flight concurrently.  0 dispatches everything serially -- v2
-        frames still get their ids echoed, but no overlap happens; v1
-        frames are always serial regardless.
+        flight concurrently; at least 1, which serves one request at a
+        time.  v1 frames are always serial regardless.
     """
 
     def __init__(
@@ -80,8 +79,10 @@ class MembershipServer:
         port: int = 0,
         pipeline_depth: int = 32,
     ) -> None:
-        if pipeline_depth < 0:
-            raise ParameterError("pipeline_depth must be non-negative")
+        if pipeline_depth < 1:
+            raise ParameterError(
+                f"pipeline_depth must be at least 1, got {pipeline_depth}"
+            )
         self.gateway = gateway
         self.pipeline_depth = pipeline_depth
         self._host = host
@@ -146,11 +147,7 @@ class MembershipServer:
         default_client = f"{peer[0]}:{peer[1]}" if peer else "tcp"
         replies = BufferedFrameWriter(writer)
         inflight: dict[int, asyncio.Task] = {}
-        depth = (
-            asyncio.Semaphore(self.pipeline_depth)
-            if self.pipeline_depth > 0
-            else None
-        )
+        depth = asyncio.Semaphore(self.pipeline_depth)
         graceful = False
         try:
             while True:
@@ -187,9 +184,6 @@ class MembershipServer:
                         ),
                     )
                     break
-                if depth is None:
-                    replies.send(await self._dispatch(request, default_client, request_id))
-                    continue
                 # Backpressure: the read loop stalls (and so, via TCP,
                 # does the sender) once pipeline_depth dispatches are in
                 # flight, instead of buffering unboundedly.

@@ -80,11 +80,9 @@ GATEWAY_MAGIC = b"RGSN"
 #: windowed positive-rate policies keep deciding correctly across a warm
 #: restart.  Version 4 appends the composed-policy scratch (the
 #: cool-down suppression tally and the hysteresis streaks) so stateful
-#: defence wrappers keep their place across a warm restart; version-3
-#: payloads still restore, with that scratch zero-initialised.
+#: defence wrappers keep their place across a warm restart.  Only the
+#: current version parses; older payloads raise :class:`SnapshotError`.
 GATEWAY_VERSION = 4
-#: Oldest version :func:`parse_gateway_snapshot` still accepts.
-GATEWAY_MIN_VERSION = 3
 
 #: Magic bytes opening a single-shard handoff block.
 SHARD_BLOCK_MAGIC = b"RGSB"
@@ -243,13 +241,9 @@ def _pack_shard_section(life: dict, telemetry_state: dict, block: bytes) -> list
 
 
 def _parse_shard_section(
-    reader: _SnapshotReader, shard_id: int, version: int
+    reader: _SnapshotReader, shard_id: int
 ) -> tuple[dict, ShardTelemetry, bytes]:
-    """Parse one shard's section; inverse of :func:`_pack_shard_section`.
-
-    ``version`` is the enclosing gateway snapshot's (3 or 4); handoff
-    blocks always carry the v4 layout.
-    """
+    """Parse one shard's section; inverse of :func:`_pack_shard_section`."""
     age_ops, life_inserts, life_queries, life_positives, restored, restore_epoch = (
         _LIFECYCLE.unpack(reader.take(_LIFECYCLE.size, f"shard {shard_id} lifecycle"))
     )
@@ -262,20 +256,16 @@ def _parse_shard_section(
         )
         for _ in range(window_len)
     )
-    # Version 3 predates the composed-policy scratch: restore it
-    # zero-initialised (cool-down history starts fresh).
-    suppressed = 0
+    suppressed, streak_count = _POLICY_STATE.unpack(
+        reader.take(_POLICY_STATE.size, f"shard {shard_id} policy scratch")
+    )
     streaks: dict[str, int] = {}
-    if version >= 4:
-        suppressed, streak_count = _POLICY_STATE.unpack(
-            reader.take(_POLICY_STATE.size, f"shard {shard_id} policy scratch")
+    for _ in range(streak_count):
+        key = reader.take_str(f"shard {shard_id} streak key")
+        (value,) = _STREAK_VALUE.unpack(
+            reader.take(_STREAK_VALUE.size, f"shard {shard_id} streak value")
         )
-        for _ in range(streak_count):
-            key = reader.take_str(f"shard {shard_id} streak key")
-            (value,) = _STREAK_VALUE.unpack(
-                reader.take(_STREAK_VALUE.size, f"shard {shard_id} streak value")
-            )
-            streaks[key] = value
+        streaks[key] = value
     life = {
         "age_ops": age_ops,
         "inserts": life_inserts,
@@ -366,7 +356,7 @@ def parse_gateway_snapshot(raw: bytes) -> GatewaySnapshot:
     )
     if magic != GATEWAY_MAGIC:
         raise SnapshotError(f"bad gateway snapshot magic {magic!r}")
-    if not GATEWAY_MIN_VERSION <= version <= GATEWAY_VERSION:
+    if version != GATEWAY_VERSION:
         raise SnapshotError(f"unsupported gateway snapshot version {version}")
     rotation_log = []
     for _ in range(rotation_count):
@@ -390,9 +380,7 @@ def parse_gateway_snapshot(raw: bytes) -> GatewaySnapshot:
     telemetry: list[ShardTelemetry] = []
     filter_blocks: list[bytes] = []
     for shard_id in range(shards):
-        life, shard_telemetry, block = _parse_shard_section(
-            reader, shard_id, version
-        )
+        life, shard_telemetry, block = _parse_shard_section(reader, shard_id)
         lifecycle.append(life)
         telemetry.append(shard_telemetry)
         filter_blocks.append(block)
@@ -508,9 +496,7 @@ def parse_shard_block(raw: bytes) -> ShardBlock:
         raise SnapshotError(f"bad shard block magic {magic!r}")
     if version != SHARD_BLOCK_VERSION:
         raise SnapshotError(f"unsupported shard block version {version}")
-    life, telemetry, block = _parse_shard_section(
-        reader, shard_id, GATEWAY_VERSION
-    )
+    life, telemetry, block = _parse_shard_section(reader, shard_id)
     reader.expect_end()
     return ShardBlock(
         shard_id=shard_id,

@@ -163,7 +163,6 @@ def _config(policy: str) -> ServiceConfig:
         shards=2,
         shard_m=256,
         shard_k=4,
-        rotation_threshold=None,
         rotation_policy=policy,
     )
 

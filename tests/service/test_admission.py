@@ -1,4 +1,4 @@
-"""Admission control: token buckets, per-client limiting, saturation guard."""
+"""Admission control: token buckets, per-client limiting, shard-state probe."""
 
 from __future__ import annotations
 
@@ -10,8 +10,8 @@ from repro.exceptions import ParameterError
 from repro.service.admission import (
     ClientRateLimiter,
     RateLimited,
-    SaturationGuard,
     TokenBucket,
+    filter_state,
 )
 
 
@@ -77,25 +77,12 @@ def test_rate_limited_exception_carries_client():
     assert "mallory" in str(err)
 
 
-def test_saturation_guard_on_bloom_filter():
-    guard = SaturationGuard(threshold=0.5)
-    target = BloomFilter(64, 2)
-    assert guard.should_rotate(target) is False
+def test_filter_state_reads_properties_methods_and_missing_fill():
+    target = BloomFilter(64, 2)  # properties here
     target.bits.set_indexes(range(32))
     target._weight = 32
-    assert guard.should_rotate(target) is True  # exactly at threshold
-
-
-def test_saturation_guard_handles_method_and_missing_fill():
-    guard = SaturationGuard(threshold=0.25)
-    vec = BitVector(16)  # fill_ratio is a method here
-    assert guard.should_rotate(vec) is False
+    assert filter_state(target) == (32, 0.5)
+    vec = BitVector(16)  # methods here
     vec.set_indexes(range(4))
-    assert guard.should_rotate(vec) is True
-    assert guard.should_rotate(object()) is False  # no fill_ratio: never rotate
-
-
-def test_saturation_guard_validation():
-    for bad in (0.0, -0.5, 1.5):
-        with pytest.raises(ParameterError):
-            SaturationGuard(bad)
+    assert filter_state(vec) == (4, 0.25)
+    assert filter_state(object()) == (0, 0.0)  # no fill_ratio at all

@@ -94,6 +94,8 @@ def test_parse_picker_rejects_malformed_specs():
         "siphash:nothex",
         "siphash:abcd",
         "siphash:" + "ab" * 17,
+        "siphash:",  # an empty key is a typo, not a request for a fresh one
+        "siphash: ",
     ):
         with pytest.raises(ConfigError):
             parse_picker(bad)
@@ -108,11 +110,6 @@ def test_config_router_knob_validated_at_build_time():
     gateway.close()
     with pytest.raises(ConfigError):
         ServiceConfig(router="sha1")
-    # The router spec wins over the legacy keyed_routing flag.
-    both = ServiceConfig(router="murmur:0x7", keyed_routing=True)
-    gateway = MembershipGateway.from_config(both)
-    assert isinstance(gateway.picker, HashShardPicker)
-    gateway.close()
 
 
 # ----------------------------------------------------------------------
@@ -409,7 +406,7 @@ def test_cluster_view_is_gateway_shaped():
 
 def test_tcp_cluster_handoff_crosses_the_wire():
     async def scenario():
-        config = ServiceConfig(shard_m=512, rotation_threshold=None)
+        config = ServiceConfig(shard_m=512, rotation_policy=None)
         async with ClusterHarness(
             ["a", "b"], total_shards=4, config=config, mode="tcp"
         ) as harness:

@@ -327,7 +327,7 @@ def test_rotation_decisions_survive_merging():
     def build(coalesce: bool) -> MembershipGateway:
         gateway = MembershipGateway.from_config(
             ServiceConfig(
-                shards=1, shard_m=1024, shard_k=4, rotation_threshold=0.2
+                shards=1, shard_m=1024, shard_k=4, rotation_policy="fill:0.2"
             )
         )
         if coalesce:
@@ -374,8 +374,6 @@ def test_service_config_coalesce_knob_validation():
         ServiceConfig(coalesce_window_us=-1)
     with pytest.raises(ParameterError):
         ServiceConfig(coalesce_max_batch=-1)
-    with pytest.raises(ParameterError):
-        ServiceConfig(pipeline_depth=-1)
     with pytest.raises(ParameterError):
         # A window without a batch ceiling would never flush on size and
         # signals a half-configured deployment.

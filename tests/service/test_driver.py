@@ -12,11 +12,12 @@ import pytest
 from repro.adversary.budget import AttackBudget
 from repro.core.bloom import BloomFilter
 from repro.exceptions import ParameterError
-from repro.service.admission import ClientRateLimiter, SaturationGuard
+from repro.service.admission import ClientRateLimiter
 from repro.service.backends import LocalBackend, ProcessPoolBackend
+from repro.service.cluster.ring import HashShardPicker, KeyedShardPicker
 from repro.service.driver import AdversarialTrafficDriver, TrafficReport, replay
 from repro.service.gateway import MembershipGateway
-from repro.service.sharding import HashShardPicker, KeyedShardPicker
+from repro.service.lifecycle import FillThresholdPolicy
 
 
 def make_gateway(m: int = 512, **kwargs) -> MembershipGateway:
@@ -75,7 +76,7 @@ def test_crafted_ghosts_hit_polluted_shard():
 
 
 def test_replay_reports_consistent_counts():
-    gateway = make_gateway(guard=SaturationGuard(0.35))
+    gateway = make_gateway(policy=FillThresholdPolicy(0.35))
     driver = AdversarialTrafficDriver(gateway, seed=11, max_trials=100_000)
     report = asyncio.run(driver.run(**small_workload()))
     assert report.honest_inserts == 60
@@ -93,14 +94,14 @@ def test_replay_reports_consistent_counts():
 
 
 def test_replay_triggers_rotation_under_aimed_pollution():
-    gateway = make_gateway(m=256, guard=SaturationGuard(0.35))
+    gateway = make_gateway(m=256, policy=FillThresholdPolicy(0.35))
     driver = AdversarialTrafficDriver(gateway, seed=2, max_trials=100_000)
     report = asyncio.run(driver.run(**small_workload(pollution_inserts=60)))
     assert report.rotations >= 1
     assert gateway.rotation_log[0].shard_id == 0
 
 
-def test_keyed_routing_disperses_misrouted_attack():
+def test_keyed_router_disperses_misrouted_attack():
     # Gateway routes with a secret key; the adversary aims via the
     # public hash, so its crafted stream scatters across shards.
     gateway = make_gateway(picker=KeyedShardPicker(bytes(16)))
@@ -114,7 +115,7 @@ def test_keyed_routing_disperses_misrouted_attack():
 
 
 def test_ghost_amplification_exceeds_honest_baseline():
-    gateway = make_gateway(guard=None)
+    gateway = make_gateway()
     driver = AdversarialTrafficDriver(gateway, seed=23, max_trials=100_000)
     report = asyncio.run(driver.run(**small_workload(ghost_queries=12)))
     assert report.ghost_queries > 0
@@ -150,7 +151,7 @@ def test_empty_report_properties():
 
 
 def test_latency_workload_crafts_worst_case_negatives():
-    gateway = make_gateway(guard=None)
+    gateway = make_gateway()
     driver = AdversarialTrafficDriver(gateway, seed=31, max_trials=100_000)
     # Pre-fill the target shard so latency forging is affordable.
     report = TrafficReport()
@@ -173,7 +174,7 @@ def test_latency_workload_crafts_worst_case_negatives():
 
 
 def test_replay_with_latency_stream_reports_counters():
-    gateway = make_gateway(guard=None)
+    gateway = make_gateway()
     driver = AdversarialTrafficDriver(gateway, seed=13, max_trials=100_000)
     report = asyncio.run(
         driver.run(
@@ -373,7 +374,7 @@ def test_wait_for_fill_returns_once_filled():
 
 
 def test_zero_probe_amplification_is_undefined_not_x1():
-    gateway = make_gateway(guard=None)
+    gateway = make_gateway()
     driver = AdversarialTrafficDriver(gateway, seed=23, max_trials=100_000)
     report = asyncio.run(
         driver.run(**small_workload(ghost_queries=12, probe_queries=0))

@@ -9,10 +9,11 @@ import pytest
 from repro.core.bloom import BloomFilter
 from repro.countermeasures.keyed import KeyedBloomFilter
 from repro.exceptions import ParameterError
-from repro.service.admission import ClientRateLimiter, RateLimited, SaturationGuard
+from repro.service.admission import ClientRateLimiter, RateLimited
+from repro.service.cluster.ring import KeyedShardPicker
 from repro.service.config import ServiceConfig
 from repro.service.gateway import MembershipGateway
-from repro.service.sharding import KeyedShardPicker
+from repro.service.lifecycle import FillThresholdPolicy
 from repro.urlgen.faker import UrlFactory
 
 URLS = UrlFactory(seed=0x6A7E).urls(200)
@@ -78,7 +79,7 @@ def test_empty_batch_is_noop():
 
 
 def test_saturation_guard_rotates_hot_shard():
-    gateway = make_gateway(guard=SaturationGuard(0.3))
+    gateway = make_gateway(policy=FillThresholdPolicy(0.3))
 
     async def scenario():
         # Hammer one shard's key space until its filter crosses 30% fill.
@@ -158,26 +159,26 @@ def test_from_config_builds_variants():
     plain = MembershipGateway.from_config(ServiceConfig(shards=2, shard_m=512))
     assert plain.shards == 2
     assert isinstance(plain.filters[0], BloomFilter)
-    assert plain.guard is not None
+    # The default config still rotates at half fill.
+    assert MembershipGateway.from_config(ServiceConfig()).policy.spec() == "fill:0.5"
 
     keyed = MembershipGateway.from_config(
-        ServiceConfig(shards=2, keyed_routing=True, keyed_filters=True, rate_limit=10.0)
+        ServiceConfig(shards=2, router="siphash", keyed_filters=True, rate_limit=10.0)
     )
     assert isinstance(keyed.picker, KeyedShardPicker)
     assert isinstance(keyed.filters[0], KeyedBloomFilter)
     assert keyed.limiter.rate == 10.0
 
-    unguarded = MembershipGateway.from_config(ServiceConfig(rotation_threshold=None))
-    assert unguarded.guard is None
+    unrotated = MembershipGateway.from_config(ServiceConfig(rotation_policy=None))
+    assert unrotated.policy is None
 
 
 def test_from_config_pinned_keys_rebuild_identically():
     config = ServiceConfig(
         shards=4,
         shard_m=512,
-        keyed_routing=True,
+        router=f"siphash:{bytes(range(16)).hex()}",
         keyed_filters=True,
-        routing_key=bytes(range(16)),
         filter_key=bytes(16),
     )
     a = MembershipGateway.from_config(config)
@@ -187,7 +188,7 @@ def test_from_config_pinned_keys_rebuild_identically():
         shard = a.shard_of(url)
         assert a.filters[shard].indexes(url) == b.filters[shard].indexes(url)
     with pytest.raises(ParameterError):
-        ServiceConfig(routing_key=b"short")
+        ServiceConfig(filter_key=b"short")
 
 
 def test_from_config_process_backend():
@@ -225,8 +226,8 @@ def test_config_validation():
     for bad in (
         dict(shards=0),
         dict(shard_m=-1),
-        dict(rotation_threshold=0.0),
-        dict(rotation_threshold=1.5),
+        dict(rotation_policy="fill:0.0"),
+        dict(rotation_policy="fill:1.5"),
         dict(rate_limit=-3.0),
         dict(burst=0),
         dict(backend="grpc"),

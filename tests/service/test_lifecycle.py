@@ -10,8 +10,8 @@ import pytest
 from repro.core.bloom import BloomFilter
 from repro.core.counting import CountingBloomFilter
 from repro.exceptions import ParameterError
-from repro.service.admission import SaturationGuard
 from repro.service.backends import LocalBackend, ProcessPoolBackend, ShardState
+from repro.service.cluster.ring import HashShardPicker
 from repro.service.config import ServiceConfig
 from repro.service.gateway import MembershipGateway
 from repro.service.lifecycle import (
@@ -25,9 +25,7 @@ from repro.service.lifecycle import (
     ShardObservation,
     TimeBasedRecyclingPolicy,
     parse_policy,
-    policy_from_guard,
 )
-from repro.service.sharding import HashShardPicker
 from repro.service.snapshots import restore_gateway, snapshot_gateway
 from repro.urlgen.faker import UrlFactory
 
@@ -62,11 +60,9 @@ def test_fill_threshold_policy_matches_the_guard():
     assert not policy.evaluate(observation(fill_ratio=0.49)).rotate
     decision = policy.evaluate(observation(fill_ratio=0.5))
     assert decision.rotate and decision.reason == "fill_ratio>=0.5"
-    # Exactly the saturation guard's rule, expressed as a policy.
-    guard = SaturationGuard(0.5)
+    # Exactly the saturation rule: rotate at or above the threshold.
     for fill in (0.0, 0.3, 0.499, 0.5, 0.8, 1.0):
-        obs = observation(fill_ratio=fill)
-        assert policy.evaluate(obs).rotate == guard.should_rotate(obs)
+        assert policy.evaluate(observation(fill_ratio=fill)).rotate == (fill >= 0.5)
 
 
 def test_time_based_policy_rotates_on_op_budget():
@@ -264,37 +260,15 @@ def test_parse_policy_rejects_garbage():
             parse_policy(bad)
 
 
-def test_policy_from_guard_maps_saturation_guard_exactly():
-    # The legacy mapping still works byte-for-byte, but is deprecated.
-    with pytest.warns(DeprecationWarning, match="rotation_policy"):
-        policy = policy_from_guard(SaturationGuard(0.42))
-    assert isinstance(policy, FillThresholdPolicy)
-    assert policy.threshold == 0.42
-
-    class WeirdGuard:
-        def should_rotate(self, state) -> bool:
-            return state.hamming_weight > 5
-
-    with pytest.warns(DeprecationWarning):
-        adapted = policy_from_guard(WeirdGuard())
-    assert adapted.evaluate(observation(hamming_weight=6)).rotate
-    assert not adapted.evaluate(observation(hamming_weight=5)).rotate
-
-
 def test_config_rotation_policy_knob():
-    config = ServiceConfig(rotation_policy="age:500", rotation_threshold=None)
+    config = ServiceConfig(rotation_policy="age:500")
     gateway = MembershipGateway.from_config(config)
     assert isinstance(gateway.policy, TimeBasedRecyclingPolicy)
-    # The policy knob wins over the legacy threshold when both are set.
-    both = MembershipGateway.from_config(
-        ServiceConfig(rotation_policy="never", rotation_threshold=0.5)
-    )
-    assert isinstance(both.policy, NeverRotatePolicy)
-    # The legacy threshold alone still maps to FillThresholdPolicy.
-    legacy = MembershipGateway.from_config(ServiceConfig(rotation_threshold=0.4))
-    assert isinstance(legacy.policy, FillThresholdPolicy)
-    assert legacy.policy.threshold == 0.4
-    assert legacy.guard is not None  # pre-policy introspection survives
+    never = MembershipGateway.from_config(ServiceConfig(rotation_policy="never"))
+    assert isinstance(never.policy, NeverRotatePolicy)
+    fill = MembershipGateway.from_config(ServiceConfig(rotation_policy="fill:0.4"))
+    assert isinstance(fill.policy, FillThresholdPolicy)
+    assert fill.policy.threshold == 0.4
     with pytest.raises(ParameterError):
         ServiceConfig(rotation_policy="fill:2.0")
     with pytest.raises(ParameterError):
@@ -510,7 +484,7 @@ def test_rotation_log_renders_and_no_policy_means_no_rotation():
         lambda: BloomFilter(128, 4), shards=2, picker=HashShardPicker()
     )
     asyncio.run(gateway.insert_batch(URLS[:200]))
-    assert gateway.rotations == 0  # no policy, no guard: never rotate
+    assert gateway.rotations == 0  # no policy: never rotate
     guarded = MembershipGateway(
         lambda: BloomFilter(128, 4),
         shards=2,

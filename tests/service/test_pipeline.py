@@ -8,7 +8,7 @@ import struct
 import pytest
 
 from repro.core.bloom import BloomFilter
-from repro.exceptions import ProtocolError
+from repro.exceptions import ParameterError, ProtocolError
 from repro.service.backends import LocalBackend
 from repro.service.client import MembershipClient
 from repro.service.codec import (
@@ -101,7 +101,8 @@ def test_pipelined_round_trip_matches_gateway():
 
 
 def test_pipelined_client_against_serial_server():
-    """pipeline_depth=0 still echoes correlation ids, just serially."""
+    """pipeline_depth=1 serves one request at a time and still echoes
+    correlation ids."""
 
     async def scenario(gateway, server, client):
         await client.insert_batch(URLS[:20], client="seed")
@@ -109,8 +110,11 @@ def test_pipelined_client_against_serial_server():
             *(client.query(url) for url in URLS[:30])
         )
 
-    answers = serve(scenario, pipeline_depth=0, pipeline=4)
+    answers = serve(scenario, pipeline_depth=1, pipeline=4)
     assert answers[:20] == [True] * 20
+    # Depth 1 is the serial case; 0 would be a second spelling of it.
+    with pytest.raises(ParameterError):
+        MembershipServer(make_gateway(), pipeline_depth=0)
 
 
 def test_out_of_order_replies_reach_the_right_callers():

@@ -10,6 +10,7 @@ import pytest
 from repro.core.bloom import BloomFilter
 from repro.exceptions import ConfigError, ParameterError
 from repro.service.backends import ShardState
+from repro.service.cluster.ring import HashShardPicker
 from repro.service.config import ServiceConfig
 from repro.service.gateway import MembershipGateway
 from repro.service.lifecycle import (
@@ -28,7 +29,6 @@ from repro.service.lifecycle import (
     TimeBasedRecyclingPolicy,
     parse_policy,
 )
-from repro.service.sharding import HashShardPicker
 from repro.service.snapshots import restore_gateway, snapshot_gateway
 from repro.urlgen.faker import UrlFactory
 
@@ -288,6 +288,7 @@ def test_parse_rejects_trailing_garbage_with_config_error():
         "   ",
         "&",
         "!",
+        "never:",
     ):
         with pytest.raises(ConfigError):
             parse_policy(bad)
@@ -297,7 +298,6 @@ def test_parse_rejects_trailing_garbage_with_config_error():
 
 def test_service_config_validates_composed_specs():
     config = ServiceConfig(
-        rotation_threshold=None,
         rotation_policy="cooldown:200(hysteresis:2(adaptive:0.85:24:32))",
     )
     gateway = MembershipGateway.from_config(config)

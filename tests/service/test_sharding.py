@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import ParameterError
-from repro.service.sharding import HashShardPicker, KeyedShardPicker
+from repro.service.cluster.ring import HashShardPicker, KeyedShardPicker
 from repro.urlgen.faker import UrlFactory
 
 URLS = UrlFactory(seed=0x5EED).urls(400)

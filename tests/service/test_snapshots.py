@@ -8,11 +8,11 @@ import pytest
 
 from repro.core.bloom import BloomFilter
 from repro.exceptions import SnapshotError
-from repro.service.admission import SaturationGuard
 from repro.service.backends import ProcessPoolBackend
+from repro.service.cluster.ring import HashShardPicker
 from repro.service.driver import AdversarialTrafficDriver
 from repro.service.gateway import MembershipGateway
-from repro.service.sharding import HashShardPicker
+from repro.service.lifecycle import FillThresholdPolicy
 from repro.service.snapshots import (
     load_snapshot,
     parse_gateway_snapshot,
@@ -34,7 +34,7 @@ def make_gateway(m: int = 512, **kwargs) -> MembershipGateway:
 
 def worked_gateway() -> MembershipGateway:
     """A gateway with real history: traffic, rotations, telemetry."""
-    gateway = make_gateway(m=256, guard=SaturationGuard(0.35))
+    gateway = make_gateway(m=256, policy=FillThresholdPolicy(0.35))
     driver = AdversarialTrafficDriver(gateway, seed=3, max_trials=100_000)
     asyncio.run(
         driver.run(
@@ -56,7 +56,7 @@ def test_round_trip_restores_bits_log_and_telemetry():
     assert gateway.rotations >= 1  # history worth preserving
     raw = snapshot_gateway(gateway)
 
-    restored = make_gateway(m=256, guard=SaturationGuard(0.35))
+    restored = make_gateway(m=256, policy=FillThresholdPolicy(0.35))
     restore_gateway(restored, raw)
 
     # Shard bits: byte-identical exports.
@@ -76,7 +76,7 @@ def test_round_trip_restores_bits_log_and_telemetry():
 def test_restored_gateway_answers_identically():
     gateway = worked_gateway()
     raw = snapshot_gateway(gateway)
-    restored = make_gateway(m=256, guard=SaturationGuard(0.35))
+    restored = make_gateway(m=256, policy=FillThresholdPolicy(0.35))
     restore_gateway(restored, raw)
     before = asyncio.run(gateway.query_batch(PROBES))
     after = asyncio.run(restored.query_batch(PROBES))
@@ -88,7 +88,7 @@ def test_snapshot_file_round_trip(tmp_path):
     path = save_snapshot(gateway, tmp_path / "gateway.snap")
     assert path.exists()
     assert not (tmp_path / "gateway.snap.tmp").exists()  # tmp file renamed
-    restored = make_gateway(m=256, guard=SaturationGuard(0.35))
+    restored = make_gateway(m=256, policy=FillThresholdPolicy(0.35))
     load_snapshot(restored, path)
     assert asyncio.run(restored.query_batch(PROBES)) == asyncio.run(
         gateway.query_batch(PROBES)
@@ -152,6 +152,9 @@ def test_parse_rejects_corruption():
         parse_gateway_snapshot(b"XXXX" + raw[4:])
     with pytest.raises(SnapshotError, match="version"):
         parse_gateway_snapshot(raw[:4] + b"\xff\xff" + raw[6:])
+    # Version 3 predates the composed-policy scratch and no longer parses.
+    with pytest.raises(SnapshotError, match="version 3"):
+        parse_gateway_snapshot(raw[:4] + b"\x00\x03" + raw[6:])
     with pytest.raises(SnapshotError, match="ends inside"):
         parse_gateway_snapshot(raw[:-10])
     with pytest.raises(SnapshotError, match="trailing"):
@@ -200,116 +203,12 @@ def test_filter_snapshot_header_round_trip():
         BloomFilter.from_snapshot(raw[:-1])
 
 
-# ----------------------------------------------------------------------
-# Version-3 forward compatibility (pre-algebra snapshots)
-# ----------------------------------------------------------------------
-
-
-def serialize_v3(gateway: MembershipGateway) -> bytes:
-    """A version-3 gateway snapshot of ``gateway``, exactly as PR 4
-    wrote them: no composed-policy scratch section.  Reuses the live
-    structs so the layouts cannot drift apart."""
-    from repro.service import snapshots as s
-
-    parts = [
-        s._HEADER.pack(
-            s.GATEWAY_MAGIC, 3, gateway.shards, len(gateway.rotation_log), gateway.op_epoch
-        )
-    ]
-    for e in gateway.rotation_log:
-        parts.append(
-            s._ROTATION.pack(
-                e.shard_id, e.retired_weight, e.retired_insertions, e.retired_fill, e.op_epoch
-            )
-        )
-        parts.append(s._pack_str(e.policy))
-        parts.append(s._pack_str(e.reason))
-    for shard_id, telemetry in enumerate(gateway.telemetry):
-        life = gateway.lifecycle[shard_id].to_state(
-            gateway.backend.state(shard_id).age_ops
-        )
-        parts.append(
-            s._LIFECYCLE.pack(
-                life["age_ops"], life["inserts"], life["queries"],
-                life["positives"], int(life["restored"]), life["restore_epoch"],
-            )
-        )
-        parts.append(s._WINDOW_LEN.pack(len(life["window"])))
-        for queries, positives in life["window"]:
-            parts.append(s._WINDOW_ENTRY.pack(queries, positives))
-        state = telemetry.to_state()
-        parts.append(
-            s._COUNTERS.pack(
-                state["inserts"], state["queries"], state["positives"], state["rotations"]
-            )
-        )
-        for key in ("insert_latency", "query_latency"):
-            count, total, buckets = state[key]
-            parts.append(s._HISTOGRAM.pack(count, total, *buckets))
-        block = gateway.backend.export_shard(shard_id)
-        parts.append(s._BLOCK_LEN.pack(len(block)))
-        parts.append(block)
-    return b"".join(parts)
-
-
-def test_v3_snapshot_restores_under_a_composed_policy():
-    """A pre-algebra (v3) snapshot restores into a gateway running a
-    composed cool-down/hysteresis policy with the policy scratch
-    zero-initialised -- old deployments upgrade warm."""
-    from repro.service.lifecycle import parse_policy
-
-    gateway = worked_gateway()
-    v3 = serialize_v3(gateway)
-    parsed = parse_gateway_snapshot(v3)
-    assert all(life["suppressed"] == 0 for life in parsed.lifecycle)
-    assert all(life["streaks"] == {} for life in parsed.lifecycle)
-
-    composed = make_gateway(
-        m=256,
-        policy=parse_policy("cooldown:100000(hysteresis:2(adaptive:0.6:16))"),
-    )
-    restore_gateway(composed, v3)
-    # Everything a v3 snapshot carries came back ...
-    assert composed.op_epoch == gateway.op_epoch
-    assert composed.rotation_log == gateway.rotation_log
-    for shard_id in range(composed.shards):
-        assert composed.backend.export_shard(shard_id) == gateway.backend.export_shard(shard_id)
-    # ... and the composed policy's scratch starts zeroed, then counts.
-    assert all(life.suppressed == 0 and life.streaks == {} for life in composed.lifecycle)
-    asyncio.run(composed.insert_batch(URLS[:40]))
-    for _ in range(4):  # all-positive re-queries: the tripwire's signature
-        asyncio.run(composed.query_batch(URLS[:40]))
-    assert sum(life.suppressed for life in composed.lifecycle) >= 1
-
-
-def test_v4_snapshot_is_written_and_v3_reparse_matches():
-    """The current writer stamps version 4; a v3 payload of the same
-    gateway parses to the same lifecycle state modulo the scratch."""
-    from repro.service.snapshots import GATEWAY_VERSION, _HEADER
-
-    gateway = worked_gateway()
-    v4 = snapshot_gateway(gateway)
-    assert GATEWAY_VERSION == 4
-    assert _HEADER.unpack(v4[: _HEADER.size])[1] == 4
-    parsed_v4 = parse_gateway_snapshot(v4)
-    parsed_v3 = parse_gateway_snapshot(serialize_v3(gateway))
-    for a, b in zip(parsed_v4.lifecycle, parsed_v3.lifecycle):
-        scrubbed = dict(a, suppressed=0, streaks={})
-        assert scrubbed == b
-    assert parsed_v4.filter_blocks == parsed_v3.filter_blocks
-
-    with pytest.raises(SnapshotError, match="version"):
-        parse_gateway_snapshot(
-            _HEADER.pack(b"RGSN", 2, 0, 0, 0)  # v2 predates the window section
-        )
-
-
 def test_failed_restore_is_all_or_nothing(monkeypatch):
     """A restore that dies mid-loop must roll back, not half-apply."""
     gateway = worked_gateway()
     raw = snapshot_gateway(gateway)
 
-    victim = make_gateway(m=256, guard=SaturationGuard(0.35))
+    victim = make_gateway(m=256, policy=FillThresholdPolicy(0.35))
     asyncio.run(victim.insert_batch(URLS[:40], client="pre-restore"))
     before = [victim.backend.export_shard(s) for s in range(victim.shards)]
     before_answers = asyncio.run(victim.query_batch(PROBES, client="probe"))
