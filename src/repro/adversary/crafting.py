@@ -28,13 +28,27 @@ the same points, and raises the same exceptions with the same ``trials``
 attributes.  Candidates pulled past a winner keep their (state-
 independent) index tuples and are *carried* into the engine's next
 search, so the candidate stream position matches the scalar engine
-item-for-item across a whole campaign.  ``craft()`` auto-dispatches:
-mask-capable predicates take the batched path when the strategy brings
-a batch kernel and the accel backend is on (``REPRO_PURE_PYTHON=1``
-falls back to the scalar loop, and strategies without a kernel -- e.g.
-the two-choice pair derivation -- stay scalar because a block's k
-scalar hashes per over-pulled candidate would cost more than the mask
-saves).
+item-for-item across a whole campaign.
+
+``craft()`` auto-dispatches.  Mask-capable predicates take the batched
+path when the caller supplied a bulk source (``candidate_batch``), the
+strategy brings a batch kernel and the accel backend is on.  Otherwise
+the scalar loop runs:
+
+* ``REPRO_PURE_PYTHON=1`` selects it outright;
+* strategies without a kernel (e.g. the two-choice pair derivation)
+  stay scalar, because a block's k scalar hashes per over-pulled
+  candidate would cost more than the mask saves;
+* a plain per-item iterator is pulled exactly one candidate per trial.
+  Only the caller knows what a pulled candidate costs, and passing
+  ``candidate_batch`` is how it says blocks are cheap.  A bare iterator
+  may be expensive per item (the traffic driver filters its stream
+  through a shard router, generating ~``shards`` URLs per accepted
+  one) or stateful (the adaptive attacker's stream draws from a shared
+  RNG).  A block sliced off such a stream wastes whatever the engine's
+  owner drops, and moves shared state past the winner.  Pulling exactly
+  keeps both the cost and the state equal to what the paper's search
+  examines, whatever the accel mode.
 """
 
 from __future__ import annotations
@@ -58,10 +72,12 @@ __all__ = ["CraftResult", "CraftingEngine", "expected_trials", "CRAFT_BLOCK_SIZE
 #: over-pull the candidate stream.  The asymmetry drives the choice:
 #: a hard search recoups a small start within a few doublings of the
 #: ramp, but a search that wins in single-digit trials never gets its
-#: over-pull back once the engine is dropped (the traffic driver
-#: re-binds a fresh attack to the live filter every chunk), and pulling
-#: through a shard-routed stream costs ~``shards`` generated candidates
-#: per accepted one.
+#: over-pull back once the engine is dropped.  That waste case -- the
+#: traffic driver re-binds a fresh attack to the live filter every
+#: chunk, over a shard-routed stream costing ~``shards`` generated
+#: candidates per accepted one -- is why ``craft()`` only batches bulk
+#: sources (``candidate_batch``): the driver passes a bare iterator, so
+#: its searches pull exactly and no block size is ever wasted there.
 CRAFT_BLOCK_SIZE = 64
 
 #: Ceiling of the per-search block ramp: each further block of one
@@ -143,11 +159,15 @@ class CraftingEngine:
         raises :class:`~repro.exceptions.AttackBudgetExhausted` before
         the search starts.
     candidate_batch:
-        Optional bulk puller ``n -> list[str]`` for the batched path
-        (usually :meth:`UrlFactory.candidate_batch`); it must draw from
-        the *same* underlying source as ``candidates`` so scalar and
-        batched pulls interleave into one sequential stream.  Without
-        it, blocks are sliced off the ``candidates`` iterator.
+        Optional bulk puller ``n -> list[str]`` (usually
+        :meth:`UrlFactory.candidate_batch`); it must draw from the
+        *same* underlying source as ``candidates`` so scalar and batched
+        pulls interleave into one sequential stream.  Passing it is the
+        caller's statement that a block of candidates is cheap to pull
+        and safe to over-pull, and it is what lets :meth:`craft` take
+        the batched path.  Without it, :meth:`craft` pulls
+        ``candidates`` one per trial, and only a direct
+        :meth:`craft_batched` call slices blocks off the iterator.
     block_size:
         Candidates per batched block.
     """
@@ -215,13 +235,17 @@ class CraftingEngine:
     def craft(self, predicate: Callable[[tuple[int, ...]], bool]) -> CraftResult:
         """Return the first candidate whose indexes satisfy ``predicate``.
 
-        Dispatches to the batched path when the predicate is
-        mask-capable, the strategy has a batch kernel, and the accel
-        backend is on; the scalar loop otherwise.  Both paths produce
-        identical results, trial counts and budget charges.
+        Dispatches to the batched path when the caller supplied a bulk
+        source (``candidate_batch``), the predicate is mask-capable, the
+        strategy has a batch kernel, and the accel backend is on; the
+        scalar loop otherwise.  Both paths produce identical results,
+        trial counts and budget charges.  The scalar fallback also makes
+        a per-item iterator's consumption exact: it is advanced once per
+        examined candidate and never past the winner.
         """
         if (
-            self._batch_kernel
+            self._candidate_batch is not None
+            and self._batch_kernel
             and callable(getattr(predicate, "mask", None))
             and accel.accelerated(self.block_size)
         ):

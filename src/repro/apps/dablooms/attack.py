@@ -15,6 +15,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.adversary.overflow import CounterOverflowAttack, OverflowReport, plan_overflow
 from repro.adversary.pollution import PollutionAttack
@@ -85,11 +86,12 @@ class DabloomsPollutionAttack:
                 blocklist.force_scale()
             pollute = slice_index >= total_slices - polluted_last
             if pollute:
+                factory = UrlFactory(seed=self.seed ^ (slice_index + 1))
+                prefix = "http://phish.example"
                 attack = PollutionAttack(
                     blocklist.active_slice,
-                    candidates=UrlFactory(
-                        seed=self.seed ^ (slice_index + 1)
-                    ).candidate_stream(prefix="http://phish.example"),
+                    candidates=factory.candidate_stream(prefix=prefix),
+                    candidate_batch=partial(factory.candidate_batch, prefix=prefix),
                 )
                 for _ in range(capacity):
                     crafted = attack.craft_one()

@@ -87,9 +87,11 @@ class BlindingAttack:
         shadow.add(self.root_url)
 
         factory = UrlFactory(seed=self.seed)
+        prefix = f"http://{self.adversary_host}"
         attack = PollutionAttack(
             shadow,
-            candidates=factory.candidate_stream(prefix=f"http://{self.adversary_host}"),
+            candidates=factory.candidate_stream(prefix=prefix),
+            candidate_batch=lambda n: factory.candidate_batch(n, prefix=prefix),
         )
         report = attack.run(n_links, insert=True)
 
@@ -173,7 +175,9 @@ class GhostHidingAttack:
             decoys.append(path)
         factory = UrlFactory(seed=self.seed)
         forgery = GhostForgery(
-            self.dupefilter.filter, candidates=factory.candidate_stream(prefix=path)
+            self.dupefilter.filter,
+            candidates=factory.candidate_stream(prefix=path),
+            candidate_batch=lambda n: factory.candidate_batch(n, prefix=path),
         )
         ghost_result = forgery.craft_one()
         tree = DecoyTree(root=root, decoys=tuple(decoys), ghost=ghost_result.item)

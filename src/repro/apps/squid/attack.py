@@ -119,8 +119,11 @@ class CacheDigestAttack:
             shadow.add(url)
         shim = _DigestShim(shadow)
         factory = UrlFactory(seed=self.seed ^ 0xA77)
+        prefix = "http://attacker.example"
         attack = PollutionAttack(
-            shim, candidates=factory.candidate_stream(prefix="http://attacker.example")
+            shim,
+            candidates=factory.candidate_stream(prefix=prefix),
+            candidate_batch=lambda n: factory.candidate_batch(n, prefix=prefix),
         )
         report = attack.run(self.added_urls, insert=True)
         return report.items

@@ -13,7 +13,7 @@ from __future__ import annotations
 import struct
 
 from repro.hashing.base import CallableHash
-from repro.hashing.noncrypto import MASK32, MASK64, rotl32, rotl64
+from repro.hashing.noncrypto import MASK32, MASK64, rotl64
 
 __all__ = [
     "murmur3_32",
@@ -51,36 +51,57 @@ def fmix64(h: int) -> int:
     return h
 
 
+#: Longest input (in 4-byte blocks) with a precompiled word unpacker:
+#: 256 bytes covers item-sized keys such as URLs; longer inputs go
+#: through ``struct``'s own format cache.
+_CACHED_BLOCKS = 64
+#: ``unpack_from`` of the little-endian ``<nI`` word layout, by block count n.
+_WORD_UNPACKERS = tuple(
+    struct.Struct(f"<{n}I").unpack_from for n in range(_CACHED_BLOCKS + 1)
+)
+
+
 def murmur3_32(data: bytes, seed: int = 0) -> int:
-    """MurmurHash3 x86_32 of ``data`` with ``seed``; returns a 32-bit int."""
+    """MurmurHash3 x86_32 of ``data`` with ``seed``; returns a 32-bit int.
+
+    Accepts any bytes-like object.  This is the shard router's hash, run
+    once per served item and once per attacker candidate, so the body
+    unpacks all 32-bit words in one ``struct`` call and inlines the
+    rotations and :func:`fmix32`.
+    """
     length = len(data)
     h = seed & MASK32
-    rounded_end = length & ~0x3
-
-    for i in range(0, rounded_end, 4):
-        k = data[i] | (data[i + 1] << 8) | (data[i + 2] << 16) | (data[i + 3] << 24)
+    nblocks = length >> 2
+    words = (
+        _WORD_UNPACKERS[nblocks](data)
+        if nblocks <= _CACHED_BLOCKS
+        else struct.unpack_from(f"<{nblocks}I", data)
+    )
+    for k in words:
         k = (k * _C1_32) & MASK32
-        k = rotl32(k, 15)
-        k = (k * _C2_32) & MASK32
-        h ^= k
-        h = rotl32(h, 13)
+        k = ((k << 15) | (k >> 17)) & MASK32
+        h ^= (k * _C2_32) & MASK32
+        h = ((h << 13) | (h >> 19)) & MASK32
         h = (h * 5 + 0xE6546B64) & MASK32
 
-    k = 0
     tail = length & 3
-    if tail == 3:
-        k ^= data[rounded_end + 2] << 16
-    if tail >= 2:
-        k ^= data[rounded_end + 1] << 8
-    if tail >= 1:
-        k ^= data[rounded_end]
+    if tail:
+        i = nblocks << 2
+        k = data[i]
+        if tail > 1:
+            k ^= data[i + 1] << 8
+            if tail > 2:
+                k ^= data[i + 2] << 16
         k = (k * _C1_32) & MASK32
-        k = rotl32(k, 15)
-        k = (k * _C2_32) & MASK32
-        h ^= k
+        k = ((k << 15) | (k >> 17)) & MASK32
+        h ^= (k * _C2_32) & MASK32
 
     h ^= length
-    return fmix32(h)
+    h ^= h >> 16
+    h = (h * 0x85EBCA6B) & MASK32
+    h ^= h >> 13
+    h = (h * 0xC2B2AE35) & MASK32
+    return h ^ (h >> 16)
 
 
 def murmur3_x64_128(data: bytes, seed: int = 0) -> tuple[int, int]:

@@ -380,9 +380,10 @@ class AdversarialTrafficDriver:
 
     def _routed(self, candidates, shard_id: int):
         """Filter any candidate stream down to URLs the *attacker's*
-        router maps to ``shard_id``."""
+        router maps to ``shard_id`` (picking over the global shard
+        space, as the gateway routes, even when it owns a subset)."""
         pick = self.attacker_router.pick
-        shards = self.gateway.shards
+        shards = self.gateway.total_shards
         return (url for url in candidates if pick(url, shards) == shard_id)
 
     def _routed_candidates(self, factory: UrlFactory, shard_id: int):

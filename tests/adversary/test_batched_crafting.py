@@ -25,6 +25,7 @@ from repro.adversary.two_choice_attack import TwoChoicePollutionAttack
 from repro.core.bloom import BloomFilter
 from repro.core.two_choice import TwoChoiceBloomFilter
 from repro.exceptions import AttackBudgetExhausted, CraftingBudgetExceeded
+from repro.urlgen.faker import UrlFactory
 
 MODES = ["pure"] + (["numpy"] if accel.numpy_or_none() is not None else [])
 
@@ -96,6 +97,30 @@ def test_two_choice_auto_dispatch_stays_scalar():
     with accel.use_mode("numpy"):
         attack.engine.craft(attack.predicate)
     assert attack.engine.carried == 0  # never pulled a block
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_per_item_iterator_is_pulled_exactly(mode: str):
+    """Without a bulk source, ``craft()`` draws one candidate per trial
+    and nothing past the winner, whatever the mode: a bare iterator may
+    be costly per item or advance shared state, so no block is sliced
+    off it."""
+    pulled = 0
+
+    def counting_stream():
+        nonlocal pulled
+        factory = UrlFactory(seed=SEED)
+        while True:
+            pulled += 1
+            yield factory.url()
+
+    attack = PollutionAttack(_bloom(), candidates=counting_stream())
+    with accel.use_mode(mode):
+        trials = 0
+        for _ in range(4):
+            trials += attack.engine.craft(attack.predicate).trials
+            assert pulled == trials
+    assert attack.engine.carried == 0
 
 
 def test_mixed_mode_engine_matches_scalar_campaign():

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.hashing.murmur import (
+    _C1_32,
+    _C2_32,
     Murmur3_32,
     Murmur3_x64_128,
     fmix32,
@@ -13,6 +15,7 @@ from repro.hashing.murmur import (
     murmur3_32,
     murmur3_x64_128,
 )
+from repro.hashing.noncrypto import MASK32, rotl32
 
 # Canonical vectors (Appleby's reference implementation).
 VECTORS_32 = [
@@ -98,3 +101,66 @@ def test_avalanche_rough():
     flipped = murmur3_32(b"avalanche-tesu", 0)  # last char +1
     differing = (base ^ flipped).bit_count()
     assert 8 <= differing <= 24
+
+
+# ----------------------------------------------------------------------
+# murmur3_32 parity with the byte-at-a-time reference loop
+# ----------------------------------------------------------------------
+
+
+def reference_murmur3_32(data: bytes, seed: int = 0) -> int:
+    """The straightforward byte-loop transcription of Appleby's x86_32,
+    kept as the oracle for the word-unpacking implementation."""
+    length = len(data)
+    h = seed & MASK32
+    rounded_end = length & ~0x3
+
+    for i in range(0, rounded_end, 4):
+        k = data[i] | (data[i + 1] << 8) | (data[i + 2] << 16) | (data[i + 3] << 24)
+        k = (k * _C1_32) & MASK32
+        k = rotl32(k, 15)
+        k = (k * _C2_32) & MASK32
+        h ^= k
+        h = rotl32(h, 13)
+        h = (h * 5 + 0xE6546B64) & MASK32
+
+    k = 0
+    tail = length & 3
+    if tail == 3:
+        k ^= data[rounded_end + 2] << 16
+    if tail >= 2:
+        k ^= data[rounded_end + 1] << 8
+    if tail >= 1:
+        k ^= data[rounded_end]
+        k = (k * _C1_32) & MASK32
+        k = rotl32(k, 15)
+        k = (k * _C2_32) & MASK32
+        h ^= k
+
+    h ^= length
+    return fmix32(h)
+
+
+@pytest.mark.parametrize("data,seed,expected", VECTORS_32)
+def test_reference_reproduces_vectors(data, seed, expected):
+    assert reference_murmur3_32(data, seed) == expected
+
+
+@given(st.binary(max_size=200), st.integers(min_value=0, max_value=2**32 - 1))
+def test_murmur3_32_matches_reference(data, seed):
+    assert murmur3_32(data, seed) == reference_murmur3_32(data, seed)
+
+
+@pytest.mark.parametrize("tail", range(4))
+@pytest.mark.parametrize("blocks", [0, 1, 2, 13])
+@pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+def test_murmur3_32_bytes_like_inputs_and_tails(kind, blocks, tail):
+    data = bytes((37 * i + 11) & 0xFF for i in range(4 * blocks + tail))
+    expected = reference_murmur3_32(data, 0x5A4D)
+    assert murmur3_32(kind(data), 0x5A4D) == expected
+
+
+def test_murmur3_32_long_input_past_the_precompiled_unpackers():
+    data = bytes(range(256)) * 9  # 576 blocks
+    assert murmur3_32(data, 3) == reference_murmur3_32(data, 3)
+    assert murmur3_32(memoryview(data)[1:], 3) == reference_murmur3_32(data[1:], 3)

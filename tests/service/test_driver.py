@@ -9,12 +9,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.adversary.budget import AttackBudget
+from repro import accel
+from repro.adversary.budget import AdaptiveQueryStrategy, AttackBudget
 from repro.core.bloom import BloomFilter
 from repro.exceptions import ParameterError
 from repro.service.admission import ClientRateLimiter
 from repro.service.backends import LocalBackend, ProcessPoolBackend
 from repro.service.cluster.ring import HashShardPicker, KeyedShardPicker
+from repro.service.config import ServiceConfig
 from repro.service.driver import AdversarialTrafficDriver, TrafficReport, replay
 from repro.service.gateway import MembershipGateway
 from repro.service.lifecycle import FillThresholdPolicy
@@ -57,6 +59,25 @@ def test_crafted_pollution_aims_at_target_shard():
         assert gateway.shard_of(item) == 0
         gateway.filters[0].add(item)
     assert gateway.filters[0].hamming_weight == before + 12 * 4
+
+
+def test_crafting_aims_over_the_global_shard_space_of_a_partial_gateway():
+    """A gateway owning shards {1, 3} of 4 still routes over all 4, so
+    the attacker's candidate filter must pick over the global count."""
+    gateway = MembershipGateway.from_config(
+        ServiceConfig(shards=4, shard_m=2**12, shard_k=4, rotation_policy="never"),
+        shard_ids=[1, 3],
+        total_shards=4,
+    )
+    driver = AdversarialTrafficDriver(gateway, seed=5, max_trials=100_000)
+    report = TrafficReport()
+    # Shard 1 first: picking over the owned count (2) still finds items
+    # for it, just the wrong ones, so a regression fails here rather
+    # than hanging on shard 3, which no 2-way pick can ever reach.
+    items = driver.craft_pollution(1, 4, report)
+    assert [gateway.shard_of(item) for item in items] == [1] * 4
+    items = driver.craft_pollution(3, 2, report)
+    assert [gateway.shard_of(item) for item in items] == [3] * 2
 
 
 def test_crafted_ghosts_hit_polluted_shard():
@@ -468,6 +489,36 @@ def test_adaptive_strategy_outearns_static_per_trial(driver_backend):
     # Spend is labelled per client, and trials go only to the one that ran.
     assert "adaptive" in adaptive.budget_spend
     assert "ghost" not in adaptive.budget_spend
+
+
+@pytest.mark.skipif(
+    accel.numpy_or_none() is None, reason="numpy backend unavailable"
+)
+def test_adaptive_ghosts_are_identical_across_accel_modes():
+    """The adaptive stream draws from the strategy's shared RNG, so a
+    search that pulled past its winner would shift every later
+    candidate; crafting must consume exactly what it examines in both
+    accel modes."""
+
+    def campaign(mode: str) -> list[list[str]]:
+        gateway = make_gateway()
+        driver = AdversarialTrafficDriver(gateway, seed=9, max_trials=100_000)
+        report = TrafficReport()
+        for item in driver.craft_pollution(0, 30, report):
+            gateway.filters[0].add(item)
+        ghosts = driver.craft_ghosts(0, 6, report)
+        strategy = AdaptiveQueryStrategy(seed=3)
+        strategy.observe(ghosts, asyncio.run(gateway.query_batch(ghosts)))
+        assert strategy.promoted_prefixes
+        with accel.use_mode(mode):
+            return [
+                driver.craft_adaptive_ghosts(0, 4, strategy, report, seed_offset=offset)
+                for offset in range(3)
+            ]
+
+    reference = campaign("pure")
+    assert all(len(chunk) == 4 for chunk in reference)
+    assert campaign("numpy") == reference
 
 
 def test_budget_deadline_ends_the_campaign():
