@@ -8,10 +8,10 @@ sending small requests through the full serving stack -- across
   (gateway called directly over one worker process per shard),
   ``tcp-local`` (TCP server over an in-process backend),
   ``tcp-procpool`` (TCP over the worker processes), and
-* modes: coalescing **off** (the legacy serial-connection, one backend
-  call per request path, byte-identical to the pre-coalescer stack) vs
-  **on** (v2 pipelined connections + the gateway's micro-batch
-  coalescer merging concurrent requests into kernel-sized batches).
+* modes: coalescing **off** (one backend call per request) vs **on**
+  (the gateway's micro-batch coalescer merging concurrent requests into
+  kernel-sized batches).  Both modes use the same client: one pipelined
+  connection per cell, so an on/off ratio measures only the coalescer.
 
 The interesting cells are the small request sizes: at ``request_size=1``
 every uncoalesced request pays a full gateway round (and, on the
@@ -70,13 +70,13 @@ CLIENTS = 96
 COALESCE_WINDOW_US = 0
 COALESCE_MAX_BATCH = 64
 
-#: Server-side concurrent dispatches / client-side in-flight ceiling for
-#: the pipelined ("on") cells.
+#: Server-side concurrent dispatches / client-side in-flight ceiling of
+#: the tcp cells (both modes).
 PIPELINE_DEPTH = 64
 
 DEFAULT_TRANSPORTS = ("inproc", "inproc-procpool", "tcp-local", "tcp-procpool")
 DEFAULT_REQUEST_SIZES = (1, 8, 64)
-SMOKE_TRANSPORTS = ("inproc",)
+SMOKE_TRANSPORTS = ("inproc", "tcp-local")
 SMOKE_REQUEST_SIZES = (1,)
 
 #: Requests each client sends, per request size (smaller requests need
@@ -153,13 +153,8 @@ async def _run_once(
             async with MembershipServer(
                 gateway, pipeline_depth=PIPELINE_DEPTH
             ) as server:
-                host, port = server.address
-                # Off = today's baseline wire discipline (pooled v1
-                # connections, which the server serves serially at any
-                # depth); on = one multiplexed v2 connection with
-                # PIPELINE_DEPTH requests in flight.
                 client = MembershipClient(
-                    host, port, pipeline=PIPELINE_DEPTH if coalesce else 0
+                    *server.address, pipeline=PIPELINE_DEPTH
                 )
                 try:
                     elapsed = await _drive(client, clients, rounds, size)

@@ -39,8 +39,8 @@ restartable:
   per-request answer slicing and exception isolation;
 * :mod:`repro.service.codec` / :mod:`repro.service.server` /
   :mod:`repro.service.client` -- a length-prefixed binary wire protocol
-  (v2 frames carry correlation ids) with a pipelining asyncio TCP
-  server and a pooled-or-pipelined client;
+  (every frame carries a correlation id) with a pipelining asyncio TCP
+  server and a client multiplexing one connection;
 * :mod:`repro.service.snapshots` -- warm-restart persistence of shard
   bits, the rotation log and telemetry;
 * :mod:`repro.service.driver` -- a concurrent traffic driver replaying

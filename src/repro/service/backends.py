@@ -449,20 +449,17 @@ class ProcessPoolBackend(ShardBackend):
         Zero-argument callable building one shard's filter, executed in
         the worker.  It must be *deterministic* (pin any keys): the
         parent builds one template from the same factory to reconstruct
-        white-box views, and rotation rebuilds in the worker.  Under the
-        default ``fork`` start method any callable works; under
-        ``spawn`` it must be picklable.
+        white-box views, and rotation rebuilds in the worker.  Workers
+        start with ``fork`` where available, so any callable works;
+        elsewhere the platform default applies and it must be picklable.
     shards:
         Number of worker processes.
-    mp_context:
-        Explicit multiprocessing context; defaults to ``fork`` where
-        available (lets closures cross), else the platform default.
-    use_shared_memory:
-        Carry snapshot export/restore payloads through per-shard
-        shared-memory segments instead of pickling megabytes through
-        the pipe (only the segment name and byte count cross it).
-        Silently degrades to the pipe whenever shared memory is
-        unsupported or a segment cannot be created.
+
+    Snapshot export/restore payloads ride per-shard shared-memory
+    segments where :func:`shared_memory_supported` says so (only the
+    segment name and byte count cross the pipe), and the pipe otherwise
+    -- also whenever a segment cannot be created.  Both transfers carry
+    identical bytes.
     """
 
     name = "process-pool"
@@ -471,21 +468,18 @@ class ProcessPoolBackend(ShardBackend):
         self,
         filter_factory: Callable[[], MembershipFilter],
         shards: int,
-        mp_context=None,
-        use_shared_memory: bool = True,
     ) -> None:
         if shards <= 0:
             raise ParameterError(f"shards must be positive, got {shards}")
-        if mp_context is None:
-            try:
-                mp_context = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX platforms
-                mp_context = multiprocessing.get_context()
+        try:
+            mp_context = multiprocessing.get_context("fork")
+        except ValueError:  # pragma: no cover - non-POSIX platforms
+            mp_context = multiprocessing.get_context()
         self.shards = shards
         self._template = filter_factory()
         self._workers: list[_Worker] = []
         self._closed = False
-        self._shm_enabled = use_shared_memory and shared_memory_supported()
+        self._shm_enabled = shared_memory_supported()
         self._segments: list = [None] * shards
         self._snapshot_hint: int | None = -1  # -1 = not probed yet
         try:

@@ -6,20 +6,14 @@ same exceptions the in-process gateway raises -- so the adversarial
 traffic driver can treat a client and a gateway interchangeably (its
 ``transport`` knob).
 
-Two wire disciplines, same API:
+The client multiplexes one connection: every request gets a correlation
+id, rides the shared socket with up to ``pipeline`` requests in flight,
+and is matched to its (possibly out-of-order) reply by id.  Outgoing
+frames are write-coalesced -- concurrent callers' requests leave in one
+syscall burst -- which is what lets the server's micro-batch coalescer
+see them as one backend batch.
 
-* ``pipeline=0`` (default): pooled v1 connections.  Each in-flight
-  request checks out one TCP connection (opening a new one up to
-  ``max_connections``) and speaks strict request/reply on it -- the
-  original arrangement, byte-identical on the wire.
-* ``pipeline=N``: one multiplexed v2 connection.  Every request gets a
-  correlation id, rides a shared socket with up to ``N`` requests in
-  flight, and is matched to its (possibly out-of-order) reply by id.
-  Outgoing frames are write-coalesced -- concurrent callers' requests
-  leave in one syscall burst -- which is what lets the server's
-  micro-batch coalescer see them as one backend batch.
-
-A failed pipelined connection fails every in-flight request with
+A failed connection fails every in-flight request with
 :class:`ProtocolError` and is dropped; the next request transparently
 opens a fresh one.
 """
@@ -27,7 +21,6 @@ opens a fresh one.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass
 
 from repro.exceptions import BackendError, NotOwner, ParameterError, ProtocolError
 from repro.service.admission import RateLimited
@@ -44,7 +37,8 @@ from repro.service.codec import (
     ST_RATE_LIMITED,
     BufferedFrameWriter,
     Response,
-    decode_response,
+    # Unused here; perfbench/tracing.py (CODEC_BINDINGS) wraps it by name.
+    decode_response,  # noqa: F401
     decode_response_envelope,
     encode_handoff_frame,
     encode_request_frame,
@@ -54,21 +48,8 @@ from repro.service.codec import (
 __all__ = ["MembershipClient"]
 
 
-@dataclass
-class _Connection:
-    reader: asyncio.StreamReader
-    writer: asyncio.StreamWriter
-
-    async def close(self) -> None:
-        self.writer.close()
-        try:
-            await self.writer.wait_closed()
-        except (ConnectionError, OSError):  # pragma: no cover - platform noise
-            pass
-
-
 class _Channel:
-    """One multiplexed v2 connection: futures keyed by correlation id."""
+    """One multiplexed connection: futures keyed by correlation id."""
 
     __slots__ = (
         "reader", "writer", "out", "futures", "next_id", "depth",
@@ -98,8 +79,8 @@ class _Channel:
     async def _read_loop(self) -> None:
         """Resolve replies to their futures until the stream ends.
 
-        Any irregularity -- v1 reply on a pipelined stream, unknown
-        correlation id, torn frame, EOF with requests in flight -- is a
+        Any irregularity -- a reply without an envelope, an unknown
+        correlation id, a torn frame, EOF with requests in flight -- is a
         protocol failure: everything pending fails and the channel dies.
         The *pairing* is load-bearing here; a misattributed reply would
         silently answer the wrong question.
@@ -115,8 +96,6 @@ class _Channel:
                         + (" with requests in flight" if self.futures else "")
                     )
                 rid, response = decode_response_envelope(raw)
-                if rid is None:
-                    raise ProtocolError("v1 reply on a pipelined connection")
                 future = self.futures.get(rid)
                 if future is None:
                     raise ProtocolError(f"reply for unknown correlation id {rid}")
@@ -156,99 +135,27 @@ class _Channel:
 
 
 class MembershipClient:
-    """Membership-service client over pooled or pipelined TCP.
+    """Membership-service client over one multiplexed TCP connection.
 
     Parameters
     ----------
     host, port:
         The server address (see :meth:`~repro.service.server.
         MembershipServer.start`).
-    max_connections:
-        Ceiling on concurrently open pooled (v1) connections; requests
-        beyond it wait for a free one.  Ignored in pipelined mode, which
-        multiplexes one connection.
     pipeline:
-        Maximum requests in flight on the multiplexed v2 connection;
-        0 (default) keeps the pooled v1 discipline.
+        Maximum requests in flight on the connection; at least 1.  The
+        default matches the server's default ``pipeline_depth``.
     """
 
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        max_connections: int = 8,
-        pipeline: int = 0,
-    ) -> None:
-        if max_connections <= 0:
-            raise ParameterError("max_connections must be positive")
-        if pipeline < 0:
-            raise ParameterError("pipeline must be non-negative")
+    def __init__(self, host: str, port: int, pipeline: int = 32) -> None:
+        if pipeline < 1:
+            raise ParameterError(f"pipeline must be at least 1, got {pipeline}")
         self.host = host
         self.port = port
         self.pipeline = pipeline
-        self._free: list[_Connection] = []
-        self._slots = asyncio.Semaphore(max_connections)
         self._channel: _Channel | None = None
         self._channel_opening: asyncio.Lock | None = None
         self._closed = False
-
-    # ------------------------------------------------------------------
-    # Connection pool (v1 mode)
-    # ------------------------------------------------------------------
-
-    async def _acquire(self) -> _Connection:
-        if self._closed:
-            raise ProtocolError("client is closed")
-        await self._slots.acquire()
-        if self._free:
-            return self._free.pop()
-        try:
-            reader, writer = await asyncio.open_connection(self.host, self.port)
-        except BaseException:
-            self._slots.release()
-            raise
-        return _Connection(reader, writer)
-
-    def _release(self, conn: _Connection) -> None:
-        if self._closed:
-            # aclose() ran while this request was in flight: close the
-            # connection now instead of re-pooling it forever.
-            conn.writer.close()
-        else:
-            self._free.append(conn)
-        self._slots.release()
-
-    async def _discard(self, conn: _Connection) -> None:
-        await conn.close()
-        self._slots.release()
-
-    async def _request_pooled(self, frame: bytes, client: str) -> Response:
-        conn = await self._acquire()
-        try:
-            conn.writer.write(frame)
-            await conn.writer.drain()
-            raw = await read_frame(conn.reader)
-        except BaseException:
-            await self._discard(conn)
-            raise
-        if raw is None:
-            await self._discard(conn)
-            raise ProtocolError("server closed the connection mid-request")
-        try:
-            response = decode_response(raw)
-        except ProtocolError:
-            await self._discard(conn)
-            raise
-        if response.status in (ST_PROTOCOL,):
-            # The server drops the stream after a protocol error reply.
-            await self._discard(conn)
-        else:
-            self._release(conn)
-        return self._check(response, client)
-
-    # ------------------------------------------------------------------
-    # Multiplexed channel (pipelined mode)
-    # ------------------------------------------------------------------
 
     async def _get_channel(self) -> _Channel:
         if self._closed:
@@ -262,7 +169,7 @@ class MembershipClient:
                 self._channel = _Channel(reader, writer, self.pipeline)
             return self._channel
 
-    async def _send_pipelined(self, encode, client: str) -> Response:
+    async def _send(self, encode, client: str) -> Response:
         """Send one frame built by ``encode(request_id)`` on the channel."""
         while True:
             channel = await self._get_channel()
@@ -281,16 +188,6 @@ class MembershipClient:
             channel.futures.pop(rid, None)
             channel.depth.release()
         return self._check(response, client)
-
-    async def _send(self, encode, client: str) -> Response:
-        """Route one request through the active wire discipline.
-
-        ``encode`` maps a correlation id (``None`` for v1) to a complete
-        frame -- the op-specific encoders plug in here.
-        """
-        if self.pipeline > 0:
-            return await self._send_pipelined(encode, client)
-        return await self._request_pooled(encode(None), client)
 
     async def _request(self, op: int, items: list, client: str) -> Response:
         return await self._send(
@@ -403,10 +300,8 @@ class MembershipClient:
     # ------------------------------------------------------------------
 
     async def aclose(self) -> None:
-        """Close every pooled connection and the pipelined channel."""
+        """Close the connection; later requests raise."""
         self._closed = True
-        while self._free:
-            await self._free.pop().close()
         channel, self._channel = self._channel, None
         if channel is not None:
             await channel.close()
@@ -418,5 +313,4 @@ class MembershipClient:
         await self.aclose()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        mode = f"pipeline={self.pipeline}" if self.pipeline else "pooled"
-        return f"<MembershipClient {self.host}:{self.port} {mode}>"
+        return f"<MembershipClient {self.host}:{self.port} pipeline={self.pipeline}>"

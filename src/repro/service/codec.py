@@ -1,19 +1,22 @@
 """Length-prefixed binary wire codec for the membership service.
 
 One frame = a 4-byte big-endian payload length followed by the payload.
-Requests open with an opcode byte, responses with a status byte; batch
+Every payload opens with a five-byte *envelope*: the :data:`FRAME_V2`
+marker byte and a u32 *correlation id*.  The body follows -- requests
+start with an opcode byte, responses with a status byte -- and a reply
+echoes its request's id, so one connection carries many requests in
+flight and replies may return out of order, matched by id.  Batch
 answers travel as packed bits (one byte per eight membership answers),
 so a 10k-item query batch replies in ~1.25 KiB.
 
-Two payload generations share the framing.  A *v1* payload starts
-directly with the opcode/status byte and implies serial
-request/reply alternation on the connection.  A *v2* payload opens with
-the :data:`FRAME_V2` marker byte followed by a u32 *correlation id*,
-then the unchanged v1 body -- the id lets one connection carry many
-requests in flight and replies return out of order, matched by id (the
-pipelined wire path).  The marker byte collides with no v1 opcode or
-status, so both generations interleave safely on one connection and a
-v1-only peer rejects v2 frames loudly instead of misparsing them.
+The marker byte collides with no opcode or status, so a peer still
+speaking the envelope-less first generation is rejected loudly (its
+payload lacks the marker) instead of misparsed, and such a peer rejects
+ours as an unknown opcode/status.  :func:`decode_request` and
+:func:`decode_response` parse a bare body; the payload encoders
+(:func:`encode_request`, :func:`encode_answers`, ...) build one.  The
+``*_frame`` encoders assemble envelope and body in one buffer for the
+send path.
 
 The codec is deliberately paranoid: every field read checks the
 remaining length, frame lengths are bounded, and any violation raises
@@ -106,9 +109,9 @@ _STATUSES = frozenset(
     {ST_OK, ST_RATE_LIMITED, ST_INVALID, ST_ERROR, ST_PROTOCOL, ST_NOT_OWNER}
 )
 
-#: First payload byte of a v2 (correlated) frame.  Deliberately outside
-#: both the opcode and the status ranges, so a v1 decoder rejects a v2
-#: frame as an unknown opcode/status instead of misreading it.
+#: First payload byte of every frame (the envelope marker).  Deliberately
+#: outside both the opcode and the status ranges, so an envelope-less
+#: payload is told apart from an enveloped one by its first byte.
 FRAME_V2 = 0xC2
 
 _U32 = struct.Struct(">I")
@@ -242,21 +245,16 @@ class BufferedFrameWriter:
     connection teardown already lives.
     """
 
-    __slots__ = ("_writer", "_buffer", "_flusher", "frames", "flushes")
+    __slots__ = ("_writer", "_buffer", "_flusher")
 
     def __init__(self, writer: asyncio.StreamWriter) -> None:
         self._writer = writer
         self._buffer: list[bytes] = []
         self._flusher: asyncio.Task | None = None
-        #: Frames accepted / physical write+drain rounds issued.  Their
-        #: ratio is the wire-side coalescing factor.
-        self.frames = 0
-        self.flushes = 0
 
     def send(self, frame: bytes) -> None:
         """Queue one complete frame; returns immediately."""
         self._buffer.append(frame)
-        self.frames += 1
         if self._flusher is None:
             self._flusher = asyncio.get_running_loop().create_task(self._drain())
 
@@ -269,7 +267,6 @@ class BufferedFrameWriter:
                     else b"".join(self._buffer)
                 )
                 self._buffer.clear()
-                self.flushes += 1
                 self._writer.write(chunk)
                 await self._writer.drain()
         except (ConnectionError, OSError):
@@ -390,26 +387,26 @@ def encode_request(
     return b"".join(parts)
 
 
-def _take_envelope(cursor: _Cursor, what: str) -> int | None:
-    """Consume a v2 envelope if one opens the payload; the correlation
-    id, or ``None`` for a v1 payload (cursor untouched)."""
-    if cursor.peek_u8() != FRAME_V2:
-        return None
-    cursor.u8("envelope marker")
+def _take_envelope(cursor: _Cursor, what: str) -> int:
+    """Consume the envelope that opens every payload; the correlation id."""
+    marker = cursor.u8("envelope marker")
+    if marker != FRAME_V2:
+        raise ProtocolError(
+            f"{what} lacks the correlation envelope "
+            f"(first byte {marker:#04x}, expected {FRAME_V2:#04x})"
+        )
     return cursor.u32(f"{what} correlation id")
 
 
 def decode_request(payload) -> Request:
-    """Decode and validate a v1 request payload (any bytes-like)."""
+    """Decode and validate a request body (any bytes-like, no envelope)."""
     return _decode_request_body(_Cursor(payload))
 
 
-def decode_request_envelope(payload) -> tuple[int | None, Request]:
-    """Decode a request of either generation.
+def decode_request_envelope(payload) -> tuple[int, Request]:
+    """Decode a request payload: ``(correlation_id, request)``.
 
-    Returns ``(correlation_id, request)``; the id is ``None`` for a v1
-    payload (the caller owes a serial, id-less reply) and a u32 for a v2
-    payload (the reply must echo it, and may return out of order).
+    The reply must echo the id, and may return out of order.
     """
     cursor = _Cursor(payload)
     return _take_envelope(cursor, "request"), _decode_request_body(cursor)
@@ -517,38 +514,24 @@ def encode_not_owner(shard_id: int, epoch: int, owner: str = "") -> bytes:
 # Whole-frame encoders (the zero-copy send path)
 # ----------------------------------------------------------------------
 #
-# The payload encoders above build a payload that the caller then frames
-# with :func:`encode_frame` -- two buffers and a concatenation per send.
-# The ``*_frame`` variants compute the exact frame size up front, allocate
-# one buffer, and pack header and payload straight into it; the server
-# and client send paths hand that single buffer to the transport.
-#
-# Every ``*_frame`` encoder takes an optional ``request_id``: ``None``
-# emits the byte-identical v1 frame, a u32 prepends the five-byte v2
-# envelope (marker + correlation id) to the same body.
+# The payload encoders above build a bare body.  The ``*_frame``
+# variants compute the exact frame size up front, allocate one buffer,
+# and pack length prefix, envelope (marker + the required ``request_id``)
+# and body straight into it; the server and client send paths hand that
+# single buffer to the transport.
 
-def _frame_buffer(payload_len: int) -> bytearray:
-    if payload_len == 0:
-        raise ProtocolError("refusing to encode an empty frame")
+def _enveloped_buffer(body_len: int, request_id: int) -> tuple[bytearray, int]:
+    """One frame buffer with prefix and envelope packed, plus the body's
+    start offset."""
+    if not 0 <= request_id <= 0xFFFFFFFF:
+        raise ProtocolError(f"correlation id {request_id} outside the u32 range")
+    payload_len = 5 + body_len
     if payload_len > MAX_FRAME:
         raise ProtocolError(
             f"frame of {payload_len} bytes exceeds MAX_FRAME={MAX_FRAME}"
         )
     out = bytearray(4 + payload_len)
     _U32.pack_into(out, 0, payload_len)
-    return out
-
-
-def _enveloped_buffer(
-    payload_len: int, request_id: int | None
-) -> tuple[bytearray, int]:
-    """One frame buffer plus the body's start offset; a correlation id
-    grows the payload by the five-byte v2 envelope."""
-    if request_id is None:
-        return _frame_buffer(payload_len), 4
-    if not 0 <= request_id <= 0xFFFFFFFF:
-        raise ProtocolError(f"correlation id {request_id} outside the u32 range")
-    out = _frame_buffer(payload_len + 5)
     out[4] = FRAME_V2
     _U32.pack_into(out, 5, request_id)
     return out, 9
@@ -558,7 +541,8 @@ def encode_request_frame(
     op: int,
     items: list[str | bytes] | None = None,
     client: str = "anon",
-    request_id: int | None = None,
+    *,
+    request_id: int,
 ) -> bytes:
     """One ready-to-send request frame, assembled in a single buffer."""
     if op not in _OPS:
@@ -599,9 +583,7 @@ def encode_request_frame(
     return bytes(out)
 
 
-def encode_answers_frame(
-    answers: list[bool], request_id: int | None = None
-) -> bytes:
+def encode_answers_frame(answers: list[bool], *, request_id: int) -> bytes:
     """One ready-to-send OK frame carrying packed membership answers."""
     bitmap = pack_bools(answers)
     out, pos = _enveloped_buffer(5 + len(bitmap), request_id)
@@ -611,9 +593,7 @@ def encode_answers_frame(
     return bytes(out)
 
 
-def encode_error_frame(
-    status: int, message: str, request_id: int | None = None
-) -> bytes:
+def encode_error_frame(status: int, message: str, *, request_id: int) -> bytes:
     """One ready-to-send non-OK frame carrying a diagnostic message
     (``ST_NOT_OWNER`` uses :func:`encode_not_owner_frame` instead)."""
     if status not in _STATUSES or status in (ST_OK, ST_NOT_OWNER):
@@ -632,7 +612,8 @@ def encode_error_frame(
 def encode_stats_frame(
     snapshots: list[ShardSnapshot],
     extra: dict | None = None,
-    request_id: int | None = None,
+    *,
+    request_id: int,
 ) -> bytes:
     """One ready-to-send OK frame carrying per-shard stats as JSON.
 
@@ -653,7 +634,7 @@ def encode_stats_frame(
 
 
 def encode_not_owner_frame(
-    shard_id: int, epoch: int, owner: str = "", request_id: int | None = None
+    shard_id: int, epoch: int, owner: str = "", *, request_id: int
 ) -> bytes:
     """One ready-to-send ``ST_NOT_OWNER`` redirect frame."""
     fields = _not_owner_fields(shard_id, epoch, owner)
@@ -668,7 +649,8 @@ def encode_handoff_frame(
     epoch: int,
     block: bytes,
     client: str = "anon",
-    request_id: int | None = None,
+    *,
+    request_id: int,
 ) -> bytes:
     """One ready-to-send ``OP_HANDOFF`` request frame.
 
@@ -709,13 +691,12 @@ def encode_handoff_frame(
 
 
 def decode_response(payload) -> Response:
-    """Decode a v1 response payload (answers, stats, or an error)."""
+    """Decode a response body (answers, stats, or an error; no envelope)."""
     return _decode_response_body(_Cursor(payload))
 
 
-def decode_response_envelope(payload) -> tuple[int | None, Response]:
-    """Decode a response of either generation; ``(correlation_id,
-    response)`` with a ``None`` id for v1 payloads."""
+def decode_response_envelope(payload) -> tuple[int, Response]:
+    """Decode a response payload: ``(correlation_id, response)``."""
     cursor = _Cursor(payload)
     return _take_envelope(cursor, "response"), _decode_response_body(cursor)
 

@@ -326,13 +326,6 @@ class AdversarialTrafficDriver:
         crafting resumes once concurrent honest traffic refills the
         bits.  Budget exhaustion is unaffected -- a drained purse ends
         the client whatever the patience.
-    coalesce:
-        Gateway coalescing override for this driver's replays: ``True``
-        enables micro-batch coalescing with driver defaults (200 µs
-        window, merge up to the admission burst or 32 items), ``False``
-        disables it, ``None`` (default) leaves the gateway exactly as it
-        was built.  Lets the ``service`` experiment replay the same
-        workload in both modes on one gateway config.
     """
 
     def __init__(
@@ -347,7 +340,6 @@ class AdversarialTrafficDriver:
         budget: AttackBudget | None = None,
         send_retries: int = 25,
         craft_patience: int = 0,
-        coalesce: bool | None = None,
     ) -> None:
         if craft_chunk <= 0:
             raise ParameterError("craft_chunk must be positive")
@@ -355,14 +347,6 @@ class AdversarialTrafficDriver:
             raise ParameterError("send_retries must be non-negative")
         if craft_patience < 0:
             raise ParameterError("craft_patience must be non-negative")
-        if coalesce is True:
-            burst = gateway.max_batch
-            gateway.configure_coalescing(
-                window_us=200,
-                max_batch=min(32, burst) if burst is not None else 32,
-            )
-        elif coalesce is False:
-            gateway.configure_coalescing(0, 0)
         self.gateway = gateway
         self.transport: ServiceTransport = transport if transport is not None else gateway
         self.seed = seed

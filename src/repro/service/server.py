@@ -6,23 +6,21 @@ and hit the same admission control, shard routing and telemetry as
 in-process callers -- which is exactly the setting the paper's
 adversaries assume (a query interface, not an object reference).
 
-Connections are *pipelined*: a v2 frame (codec envelope with a
-correlation id) is dispatched as its own task and the reply -- tagged
+Connections are *pipelined*: every frame carries a correlation id (the
+codec envelope), is dispatched as its own task, and its reply -- tagged
 with the same id -- goes out whenever it is ready, so one connection can
 keep up to ``pipeline_depth`` requests in flight and replies may arrive
 out of order.  Replies are write-coalesced (buffered, one ``drain()``
-per flush).  A v1 frame (no id) is served strictly serially, exactly
-the legacy read/dispatch/reply/drain loop, so old clients see
-byte-identical behaviour; the two generations may interleave freely on
-one connection.
+per flush).
 
 Error discipline mirrors the gateway's: retryable admission pushback
 becomes a ``ST_RATE_LIMITED`` response, permanent misuse (over-burst
-batches) becomes ``ST_INVALID``, and protocol violations get a
-best-effort ``ST_PROTOCOL`` reply before the connection is dropped --
-a client sending garbage forfeits the stream, not the server.  Reusing
-a correlation id while it is still in flight is such a violation: the
-reply channel for that id is ambiguous, so the connection is forfeit.
+batches) becomes ``ST_INVALID``.  A protocol violation forfeits the
+stream, not the server: a frame that cannot be decoded (torn,
+envelope-less or malformed) has no id to tag a reply with, so the
+connection is dropped without one; reusing a correlation id while it is
+still in flight gets a ``ST_PROTOCOL`` reply tagged with that id, then
+the drop.  Both count in :attr:`MembershipServer.protocol_errors`.
 """
 
 from __future__ import annotations
@@ -67,9 +65,8 @@ class MembershipServer:
         Bind address; port 0 picks an ephemeral port (read it back from
         :attr:`address` after :meth:`start`).
     pipeline_depth:
-        How many v2 (correlated) requests one connection may have in
-        flight concurrently; at least 1, which serves one request at a
-        time.  v1 frames are always serial regardless.
+        How many requests one connection may have in flight
+        concurrently; at least 1, which serves one request at a time.
     """
 
     def __init__(
@@ -153,35 +150,21 @@ class MembershipServer:
             while True:
                 try:
                     payload = await read_frame(reader)
-                except ProtocolError as exc:
-                    self.protocol_errors += 1
-                    await self._try_reply(writer, encode_error_frame(ST_PROTOCOL, str(exc)))
-                    break
-                if payload is None:
-                    graceful = True
-                    break
-                try:
+                    if payload is None:
+                        graceful = True
+                        break
                     request_id, request = decode_request_envelope(payload)
-                except ProtocolError as exc:
+                except ProtocolError:
                     self.protocol_errors += 1
-                    await self._try_reply(writer, encode_error_frame(ST_PROTOCOL, str(exc)))
                     break
-                if request_id is None:
-                    # v1: the legacy strictly-serial request/reply loop.
-                    # _dispatch returns a complete frame assembled in one
-                    # buffer; it goes to the transport without re-framing.
-                    writer.write(await self._dispatch(request, default_client, None))
-                    await writer.drain()
-                    continue
                 if request_id in inflight:
                     self.protocol_errors += 1
-                    await self._try_reply(
-                        writer,
+                    replies.send(
                         encode_error_frame(
                             ST_PROTOCOL,
                             f"correlation id {request_id} is already in flight",
                             request_id=request_id,
-                        ),
+                        )
                     )
                     break
                 # Backpressure: the read loop stalls (and so, via TCP,
@@ -222,27 +205,18 @@ class MembershipServer:
         inflight: dict[int, asyncio.Task],
         depth: asyncio.Semaphore,
     ) -> None:
-        """One in-flight v2 request: dispatch, then queue the tagged reply."""
+        """One in-flight request: dispatch, then queue the tagged reply."""
         try:
             replies.send(await self._dispatch(request, default_client, request_id))
         finally:
             inflight.pop(request_id, None)
             depth.release()
 
-    @staticmethod
-    async def _try_reply(writer: asyncio.StreamWriter, frame: bytes) -> None:
-        """Best-effort error reply; the connection is dropped either way."""
-        try:
-            writer.write(frame)
-            await writer.drain()
-        except (ConnectionError, OSError):
-            pass
-
     async def _dispatch(
-        self, request: Request, default_client: str, request_id: int | None
+        self, request: Request, default_client: str, request_id: int
     ) -> bytes:
         """Run one decoded request against the gateway; returns a frame
-        tagged with ``request_id`` (or a bare v1 frame when it is None)."""
+        tagged with ``request_id``."""
         client = request.client or default_client
         try:
             if request.op in (OP_INSERT, OP_INSERT_BATCH):

@@ -16,6 +16,8 @@ import pytest
 
 from repro.perf.bench_serving import (
     BENCH_SCHEMA,
+    SMOKE_REQUEST_SIZES,
+    SMOKE_TRANSPORTS,
     check_bench_file,
     main,
     run_bench,
@@ -25,31 +27,39 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
 def smoke_doc():
-    return run_bench(("inproc",), (1,), repeats=1, clients=4, smoke=True)
+    return run_bench(
+        SMOKE_TRANSPORTS, SMOKE_REQUEST_SIZES, repeats=1, clients=4, smoke=True
+    )
 
 
 def test_smoke_run_document_shape():
+    # The smoke grid drives the tcp client too, not just the gateway.
+    assert SMOKE_TRANSPORTS == ("inproc", "tcp-local")
     doc = smoke_doc()
     assert doc["schema"] == BENCH_SCHEMA
     assert doc["smoke"] is True
     cells = {
         (r["transport"], r["coalesce"], r["request_size"]) for r in doc["results"]
     }
-    assert cells == {("inproc", False, 1), ("inproc", True, 1)}
+    assert cells == {
+        (transport, coalesce, 1)
+        for transport in SMOKE_TRANSPORTS
+        for coalesce in (False, True)
+    }
     for row in doc["results"]:
         assert row["seconds"] > 0
         assert row["requests_per_sec"] == pytest.approx(
             row["clients"] * row["rounds"] / row["seconds"], rel=0.01
         )
-    assert doc["speedups"] == [
-        {
-            "transport": "inproc",
-            "request_size": 1,
-            "speedup": doc["speedups"][0]["speedup"],
-        }
+    assert [(c["transport"], c["request_size"]) for c in doc["speedups"]] == [
+        (transport, 1) for transport in SMOKE_TRANSPORTS
     ]
-    # The "on" cell actually coalesced.
-    on = next(r for r in doc["results"] if r["coalesce"])
+    assert all(c["speedup"] > 0 for c in doc["speedups"])
+    # Off cells never coalesce; the inproc "on" cell actually did.
+    assert all(r["coalesce_ratio"] == 0.0 for r in doc["results"] if not r["coalesce"])
+    on = next(
+        r for r in doc["results"] if r["coalesce"] and r["transport"] == "inproc"
+    )
     assert on["coalesce_ratio"] > 1.0
 
 

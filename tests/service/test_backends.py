@@ -8,7 +8,12 @@ import pytest
 
 from repro.core.bloom import BloomFilter
 from repro.exceptions import BackendError, ParameterError
-from repro.service.backends import LocalBackend, ProcessPoolBackend, ShardState
+from repro.service.backends import (
+    LocalBackend,
+    ProcessPoolBackend,
+    ShardState,
+    shared_memory_supported,
+)
 from repro.service.gateway import MembershipGateway
 from repro.urlgen.faker import UrlFactory
 
@@ -96,6 +101,33 @@ def test_export_restore_round_trip(backend):
     assert backend.state(0).insertions == 70
     answers = asyncio.run(backend.query_batch(0, URLS[:70]))
     assert answers.answers == [True] * 70
+
+
+def test_pipe_snapshot_transfer_matches_shared_memory(monkeypatch):
+    """Where shared memory is unsupported, snapshots cross the worker
+    pipe instead -- with byte-identical export, restore and views."""
+
+    def run(pool):
+        asyncio.run(pool.insert_batch(0, URLS[:70]))
+        raw = pool.export_shard(0)
+        pool.restore_shard(1, raw)
+        return raw, pool.export_shard(1), pool.shard_view(1).snapshot_bytes()
+
+    with ProcessPoolBackend(factory, 2) as shm_pool:
+        via_shm = run(shm_pool)
+        used_segments = shm_pool._segments != [None, None]
+    assert used_segments == shared_memory_supported()
+    monkeypatch.setattr(
+        "repro.service.backends.shared_memory_supported", lambda: False
+    )
+    with ProcessPoolBackend(factory, 2) as pipe_pool:
+        assert not pipe_pool._shm_enabled
+        via_pipe = run(pipe_pool)
+        assert pipe_pool._segments == [None, None]  # no segment was made
+    assert via_pipe == via_shm
+    reference = factory()
+    reference.add_batch(URLS[:70])
+    assert via_pipe[0] == reference.snapshot_bytes()
 
 
 def test_shard_view_sees_current_bits(backend):

@@ -1,11 +1,11 @@
 """Zero-copy codec path: frame-encoder parity and hostile payloads.
 
 The single-buffer ``*_frame`` encoders must emit byte-identical frames
-to ``encode_frame(encode_*(...))``, decoding must accept zero-copy
-memoryview input, and every malformed shape -- truncated length prefix,
-oversized declared lengths, mid-frame EOF, trailing garbage -- must be
-rejected with :class:`ProtocolError` before any allocation or partial
-state.
+to the envelope plus the payload encoders' body (``encode_*(...)``),
+decoding must accept zero-copy memoryview input, and every malformed
+shape -- missing envelope, truncated length prefix, oversized declared
+lengths, mid-frame EOF, trailing garbage -- must be rejected with
+:class:`ProtocolError` before any allocation or partial state.
 """
 
 from __future__ import annotations
@@ -65,6 +65,11 @@ def _snapshots() -> list[ShardSnapshot]:
     ]
 
 
+def _enveloped(body: bytes, request_id: int) -> bytes:
+    """The reference frame: envelope + ``body``, length-prefixed."""
+    return encode_frame(bytes([FRAME_V2]) + request_id.to_bytes(4, "big") + body)
+
+
 # ----------------------------------------------------------------------
 # Frame-encoder parity with the two-step encode path
 # ----------------------------------------------------------------------
@@ -78,46 +83,52 @@ def _snapshots() -> list[ShardSnapshot]:
     ],
 )
 def test_request_frame_parity(items, client):
-    assert encode_request_frame(OP_INSERT_BATCH, items, client) == encode_frame(
-        encode_request(OP_INSERT_BATCH, items, client)
-    )
+    assert encode_request_frame(
+        OP_INSERT_BATCH, items, client, request_id=3
+    ) == _enveloped(encode_request(OP_INSERT_BATCH, items, client), 3)
 
 
 def test_single_op_frame_parity():
-    assert encode_request_frame(OP_QUERY, ["only"], "c") == encode_frame(
-        encode_request(OP_QUERY, ["only"], "c")
+    assert encode_request_frame(OP_QUERY, ["only"], "c", request_id=0) == _enveloped(
+        encode_request(OP_QUERY, ["only"], "c"), 0
     )
 
 
 @pytest.mark.parametrize("answers", [[True], [False] * 9, [True, False] * 50, []])
 def test_answers_frame_parity(answers):
     # An empty answer list is a legal frame (count 0, no bitmap).
-    assert encode_answers_frame(answers) == encode_frame(encode_answers(answers))
+    assert encode_answers_frame(answers, request_id=8) == _enveloped(
+        encode_answers(answers), 8
+    )
 
 
 def test_error_frame_parity():
     message = "rate limited — back off"
-    assert encode_error_frame(ST_RATE_LIMITED, message) == encode_frame(
-        encode_error(ST_RATE_LIMITED, message)
+    assert encode_error_frame(ST_RATE_LIMITED, message, request_id=4) == _enveloped(
+        encode_error(ST_RATE_LIMITED, message), 4
     )
 
 
 def test_error_frame_truncates_long_messages_identically():
     message = "é" * 40_000  # 2 bytes each, over the u16 cap
-    assert encode_error_frame(ST_ERROR, message) == encode_frame(
-        encode_error(ST_ERROR, message)
+    assert encode_error_frame(ST_ERROR, message, request_id=4) == _enveloped(
+        encode_error(ST_ERROR, message), 4
     )
 
 
 def test_stats_frame_parity():
-    assert encode_stats_frame(_snapshots()) == encode_frame(encode_stats(_snapshots()))
+    assert encode_stats_frame(_snapshots(), request_id=6) == _enveloped(
+        encode_stats(_snapshots()), 6
+    )
 
 
 def test_frame_encoders_reject_bad_status_and_oversized():
     with pytest.raises(ProtocolError):
-        encode_error_frame(ST_OK, "not an error status")
+        encode_error_frame(ST_OK, "not an error status", request_id=1)
     with pytest.raises(ProtocolError):
-        encode_request_frame(OP_INSERT_BATCH, [b"x" * (MAX_FRAME + 1)], "c")
+        encode_request_frame(
+            OP_INSERT_BATCH, [b"x" * (MAX_FRAME + 1)], "c", request_id=1
+        )
 
 
 # ----------------------------------------------------------------------
@@ -125,8 +136,11 @@ def test_frame_encoders_reject_bad_status_and_oversized():
 # ----------------------------------------------------------------------
 
 def test_decode_request_from_memoryview():
-    frame = encode_request_frame(OP_INSERT_BATCH, ["t", b"\x01\x02"], "mv-client")
-    request = decode_request(memoryview(frame)[4:])
+    frame = encode_request_frame(
+        OP_INSERT_BATCH, ["t", b"\x01\x02"], "mv-client", request_id=12
+    )
+    rid, request = decode_request_envelope(memoryview(frame)[4:])
+    assert rid == 12
     assert request.client == "mv-client"
     assert request.items == ["t", b"\x01\x02"]
     # Binary items must be real bytes (copied out of the view), so they
@@ -135,12 +149,13 @@ def test_decode_request_from_memoryview():
 
 
 def test_decode_response_from_memoryview():
-    frame = encode_answers_frame([True, False, True])
-    response = decode_response(memoryview(frame)[4:])
+    frame = encode_answers_frame([True, False, True], request_id=2)
+    rid, response = decode_response_envelope(memoryview(frame)[4:])
+    assert rid == 2
     assert response.status == ST_OK
     assert response.answers == [True, False, True]
-    stats_frame = encode_stats_frame(_snapshots())
-    response = decode_response(memoryview(stats_frame)[4:])
+    stats_frame = encode_stats_frame(_snapshots(), request_id=3)
+    _, response = decode_response_envelope(memoryview(stats_frame)[4:])
     assert response.stats[0]["shard_id"] == 0
 
 
@@ -231,7 +246,7 @@ def test_eof_mid_length_prefix():
 
 
 def test_eof_mid_payload():
-    frame = encode_request_frame(OP_INSERT_BATCH, [b"abcdefgh"], "c")
+    frame = encode_request_frame(OP_INSERT_BATCH, [b"abcdefgh"], "c", request_id=1)
 
     async def run():
         with pytest.raises(ProtocolError, match="truncated frame"):
@@ -257,21 +272,21 @@ def test_clean_eof_between_frames_is_none():
 
 
 # ----------------------------------------------------------------------
-# v2 envelopes: correlation ids on the wire
+# Envelopes: correlation ids on the wire
 # ----------------------------------------------------------------------
 
 def test_v2_request_round_trip_and_v1_parity():
-    v1 = encode_request_frame(OP_QUERY_BATCH, ["a", b"b"], "c")
+    v1 = encode_request(OP_QUERY_BATCH, ["a", b"b"], "c")
     v2 = encode_request_frame(OP_QUERY_BATCH, ["a", b"b"], "c", request_id=7)
-    # The v2 frame is the v1 frame plus a five-byte envelope: same body.
-    assert v2[9:] == v1[4:]
+    # The frame is the envelope-less v1 body plus a five-byte envelope.
+    assert v2[9:] == v1
     assert v2[4] == FRAME_V2
     rid, request = decode_request_envelope(memoryview(v2)[4:])
     assert rid == 7
     assert request.items == ["a", b"b"]
-    # The envelope decoder passes v1 payloads through with a None id.
-    rid, request = decode_request_envelope(v1[4:])
-    assert rid is None and request.client == "c"
+    # An envelope-less payload is rejected, not passed through.
+    with pytest.raises(ProtocolError, match="lacks the correlation envelope"):
+        decode_request_envelope(v1)
 
 
 def test_v2_response_round_trip_all_shapes():
@@ -284,9 +299,9 @@ def test_v2_response_round_trip_all_shapes():
          lambda r: r.stats[0]["shard_id"] == 0),
     ]:
         rid, response = decode_response_envelope(frame[4:])
-        assert rid is not None and check(response)
-    rid, response = decode_response_envelope(encode_answers_frame([True])[4:])
-    assert rid is None and response.answers == [True]
+        assert rid == int.from_bytes(frame[5:9], "big") and check(response)
+    with pytest.raises(ProtocolError, match="lacks the correlation envelope"):
+        decode_response_envelope(encode_answers([True]))
 
 
 def test_stats_frame_extra_entry_rides_without_shard_id():
@@ -357,24 +372,28 @@ def test_handoff_frame_round_trip_both_generations():
     assert (request.shard_id, request.epoch) == (7, 3)
     assert request.block == _BLOCK and request.items == []
     assert request.client == "mover"
-    # Without a correlation id the encoder emits a bare v1 payload that
-    # the legacy decoder accepts.
-    bare = encode_handoff_frame(7, 3, _BLOCK)[4:]
+    # The body after the envelope is a bare handoff body the body
+    # decoder accepts; without the envelope the frame decoder refuses it.
+    bare = frame[9:]
     assert decode_request(bare).block == _BLOCK
+    with pytest.raises(ProtocolError, match="lacks the correlation envelope"):
+        decode_request_envelope(bare)
     # Bytes-likes are accepted and normalised.
-    assert encode_handoff_frame(7, 3, bytearray(_BLOCK)) == encode_frame(bare)
+    assert encode_handoff_frame(
+        7, 3, bytearray(_BLOCK), client="mover", request_id=11
+    ) == frame
 
 
 def test_handoff_frame_rejects_bad_fields_at_encode_time():
     with pytest.raises(ProtocolError, match="u32 range"):
-        encode_handoff_frame(1 << 32, 1, _BLOCK)
+        encode_handoff_frame(1 << 32, 1, _BLOCK, request_id=1)
     for epoch in (0, -1, 1 << 64):
         with pytest.raises(ProtocolError, match="positive u64"):
-            encode_handoff_frame(0, epoch, _BLOCK)
+            encode_handoff_frame(0, epoch, _BLOCK, request_id=1)
     with pytest.raises(ProtocolError, match="empty shard block"):
-        encode_handoff_frame(0, 1, b"")
+        encode_handoff_frame(0, 1, b"", request_id=1)
     with pytest.raises(ProtocolError, match="must be bytes"):
-        encode_handoff_frame(0, 1, "not-bytes")
+        encode_handoff_frame(0, 1, "not-bytes", request_id=1)
 
 
 def test_handoff_truncated_epoch_rejected():
@@ -419,14 +438,12 @@ def test_not_owner_frame_round_trip_and_payload_parity():
     assert rid == 2 and response.status == ST_NOT_OWNER
     assert response.redirect == Redirect(shard_id=3, epoch=5, owner="beta")
     assert response.answers is None and response.message is None
-    # The v2 frame's body matches the payload encoder byte for byte,
-    # and the v1 frame is exactly the framed payload.
-    assert frame[9:] == encode_not_owner(3, 5, "beta")
-    assert encode_not_owner_frame(3, 5, "beta") == encode_frame(
-        encode_not_owner(3, 5, "beta")
-    )
+    # The frame is the envelope plus the payload encoder's body.
+    assert frame == _enveloped(encode_not_owner(3, 5, "beta"), 2)
     # Epoch 0 with no owner is the legal "no ownership view" sentinel.
-    _, bare = decode_response_envelope(encode_not_owner_frame(3, 0)[4:])
+    _, bare = decode_response_envelope(
+        encode_not_owner_frame(3, 0, request_id=2)[4:]
+    )
     assert bare.redirect == Redirect(shard_id=3, epoch=0, owner="")
 
 

@@ -580,10 +580,8 @@ def test_adaptive_pool_flushes_when_rotation_invalidates_ghosts():
 
 def test_driver_coalesce_knob_and_report_columns():
     gateway = make_gateway(m=2048)
-    driver = AdversarialTrafficDriver(
-        gateway, seed=31, max_trials=100_000, coalesce=True
-    )
-    assert gateway.coalescing
+    gateway.configure_coalescing(window_us=200, max_batch=32)
+    driver = AdversarialTrafficDriver(gateway, seed=31, max_trials=100_000)
     report = asyncio.run(driver.run(**small_workload()))
     # The concurrent replay actually shared merged backend calls, and
     # the report carries the delta for *this* replay only.
@@ -592,18 +590,9 @@ def test_driver_coalesce_knob_and_report_columns():
     assert report.coalesce_ratio >= 1.0
     assert "coalesced:" in report.render()
 
-    off = AdversarialTrafficDriver(gateway, seed=31, coalesce=False)
-    assert not gateway.coalescing
+    gateway.configure_coalescing(0, 0)
+    off = AdversarialTrafficDriver(gateway, seed=31)
     report_off = asyncio.run(off.run(**small_workload()))
     assert report_off.coalesce_requests == 0
     assert report_off.coalesce_flushes == 0
     assert "coalesced:" not in report_off.render()
-
-
-def test_driver_coalesce_none_leaves_gateway_untouched():
-    gateway = make_gateway()
-    gateway.configure_coalescing(window_us=100, max_batch=8)
-    AdversarialTrafficDriver(gateway, coalesce=None)
-    assert gateway.coalescing
-    AdversarialTrafficDriver(gateway, coalesce=False)
-    assert not gateway.coalescing

@@ -15,11 +15,12 @@ from repro.service.codec import (
     FRAME_V2,
     OP_QUERY,
     OP_QUERY_BATCH,
-    ST_OK,
     ST_PROTOCOL,
     decode_request_envelope,
     decode_response_envelope,
     encode_answers_frame,
+    encode_frame,
+    encode_request,
     encode_request_frame,
     read_frame,
 )
@@ -112,9 +113,13 @@ def test_pipelined_client_against_serial_server():
 
     answers = serve(scenario, pipeline_depth=1, pipeline=4)
     assert answers[:20] == [True] * 20
-    # Depth 1 is the serial case; 0 would be a second spelling of it.
+    # Depth 1 is the serial case on either end; 0 would be a second
+    # spelling of it.
     with pytest.raises(ParameterError):
         MembershipServer(make_gateway(), pipeline_depth=0)
+    for depth in (0, -1):
+        with pytest.raises(ParameterError, match="pipeline must be at least 1"):
+            MembershipClient("127.0.0.1", 1, pipeline=depth)
 
 
 def test_out_of_order_replies_reach_the_right_callers():
@@ -175,27 +180,20 @@ def test_duplicate_inflight_correlation_id_forfeits_the_connection():
     assert eof is None  # the server hung up after the violation
 
 
-def test_v1_and_v2_interleave_on_one_connection():
-    async def scenario(gateway, server, reader, writer):
-        await gateway.insert_batch(URLS[:10], client="seed")
-        writer.write(encode_request_frame(OP_QUERY_BATCH, URLS[:4], request_id=9))
-        writer.write(encode_request_frame(OP_QUERY_BATCH, URLS[4:8]))  # v1
-        writer.write(encode_request_frame(OP_QUERY_BATCH, URLS[8:10], request_id=10))
-        await writer.drain()
-        replies = {}
-        for _ in range(3):
-            raw = await asyncio.wait_for(read_frame(reader), timeout=5.0)
-            rid, response = decode_response_envelope(raw)
-            replies[rid] = response
-        return replies
+def test_envelope_less_request_closes_without_reply():
+    """A request body without the correlation envelope has no id to tag
+    a reply with: the server counts it and hangs up silently."""
 
-    replies = raw_serve(scenario)
-    # One bare v1 reply, two id-tagged v2 replies, all answered.
-    assert set(replies) == {None, 9, 10}
-    assert replies[None].answers == [True] * 4
-    assert replies[9].answers == [True] * 4
-    assert replies[10].answers == [True] * 2
-    assert all(r.status == ST_OK for r in replies.values())
+    async def scenario(gateway, server, reader, writer):
+        await gateway.insert_batch(URLS[:4], client="seed")
+        writer.write(encode_frame(encode_request(OP_QUERY_BATCH, URLS[:4])))
+        await writer.drain()
+        eof = await asyncio.wait_for(read_frame(reader), timeout=5.0)
+        return server.protocol_errors, eof
+
+    errors, eof = raw_serve(scenario)
+    assert errors == 1
+    assert eof is None  # no reply frame, just the close
 
 
 def test_truncated_v2_header_is_a_protocol_error():
@@ -203,14 +201,11 @@ def test_truncated_v2_header_is_a_protocol_error():
         torn = bytes([FRAME_V2]) + b"\x00\x01"  # marker + half an id
         writer.write(struct.pack(">I", len(torn)) + torn)
         await writer.drain()
-        raw = await asyncio.wait_for(read_frame(reader), timeout=5.0)
-        rid, response = decode_response_envelope(raw)
         eof = await asyncio.wait_for(read_frame(reader), timeout=5.0)
-        return server.protocol_errors, response, eof
+        return server.protocol_errors, eof
 
-    errors, response, eof = raw_serve(scenario)
+    errors, eof = raw_serve(scenario)
     assert errors == 1
-    assert response.status == ST_PROTOCOL
     assert eof is None
 
 
