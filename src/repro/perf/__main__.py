@@ -1,23 +1,5 @@
-"""``python -m repro.perf`` runs the perf benchmark CLIs.
+"""``python -m repro.perf``: see :func:`repro.perf.harness.main`."""
 
-Bare invocation (and the explicit ``hotpath`` subcommand) runs the
-filter-core benchmark; ``serving`` runs the end-to-end serving grid;
-``crafting`` runs the batched brute-force search grid.
-"""
+from repro.perf.harness import main
 
-import sys
-
-_args = sys.argv[1:]
-if _args and _args[0] == "serving":
-    from repro.perf.bench_serving import main
-
-    raise SystemExit(main(_args[1:]))
-if _args and _args[0] == "crafting":
-    from repro.perf.bench_crafting import main
-
-    raise SystemExit(main(_args[1:]))
-if _args and _args[0] == "hotpath":
-    _args = _args[1:]
-from repro.perf.bench_hotpath import main
-
-raise SystemExit(main(_args))
+raise SystemExit(main())

@@ -1,4 +1,4 @@
-"""Crafting benchmark: batched brute-force search, pure vs accelerated.
+"""Crafting grid: batched brute-force search, pure vs accelerated.
 
 One run covers the grid ``predicates x (k, m) scales x modes`` through
 the real attack classes (pollution, ghost, latency on a classic filter
@@ -19,20 +19,14 @@ the expected cost is ~``2^k`` trials per crafted item at every scale
 (ghost/pollution/latency at fill 0.5; two-choice at ``1 - 2**-0.5`` so
 both groups fresh is also a ``2^-k`` event).
 
-The output file carries a schema tag (:data:`BENCH_SCHEMA`); CI runs a
-smoke pass and :func:`check_bench_file` against the committed
-``BENCH_crafting.json``, which for a full run also enforces the
-headline claim -- the best largest-scale speedup must be at least
-:data:`CLAIMED_SPEEDUP`.
-
-Run with ``python -m repro.perf crafting``.
+The headline claim (:func:`headline_error`): in a full run the best
+largest-scale speedup must be at least :data:`CLAIMED_SPEEDUP`.  Run the
+grid with ``python -m repro.perf crafting``; :mod:`repro.perf.harness`
+writes and checks ``BENCH_crafting.json``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
 import random
 import time
 
@@ -43,18 +37,28 @@ from repro.adversary.two_choice_attack import TwoChoicePollutionAttack
 from repro.core.bloom import BloomFilter
 from repro.core.two_choice import TwoChoiceBloomFilter
 from repro.hashing.kirsch_mitzenmacher import KirschMitzenmacherStrategy
+from repro.perf.harness import document
 from repro.urlgen.faker import UrlFactory
 
 __all__ = [
-    "BENCH_SCHEMA",
+    "SCHEMA",
+    "ROW_KEYS",
+    "RATIO",
     "CLAIMED_SPEEDUP",
     "run_bench",
-    "check_bench_file",
-    "main",
+    "headline_error",
+    "cell_label",
 ]
 
 #: Schema tag written into (and demanded of) every bench file.
-BENCH_SCHEMA = "repro.bench_crafting/1"
+SCHEMA = "repro.bench_crafting/1"
+
+ROW_KEYS = frozenset(
+    {"predicate", "mode", "k", "m", "items", "trials", "seconds", "trials_per_sec"}
+)
+
+#: Speedup cell: numpy over pure trials/sec per (predicate, k, m).
+RATIO = (("predicate", "k", "m"), "mode", "pure", "numpy", "trials_per_sec")
 
 #: The headline: accelerated crafting at the largest scale must beat the
 #: pure loop by at least this factor (enforced on full bench files).
@@ -78,10 +82,6 @@ TWO_CHOICE_FILL = 1 - 2**-0.5
 
 #: Candidate-pool safety margin over the expected trial total.
 _POOL_MARGIN = 8
-
-_REQUIRED_RESULT_KEYS = frozenset(
-    {"predicate", "mode", "k", "m", "items", "trials", "seconds", "trials_per_sec"}
-)
 
 
 class _PoolCursor:
@@ -186,14 +186,16 @@ def _bench_case(
 
 
 def run_bench(
-    scales=DEFAULT_SCALES,
-    predicates=DEFAULT_PREDICATES,
+    scales=None,
+    predicates=None,
     items_by_k=None,
     repeats: int = 3,
     seed: int = 0xC4AF7,
     smoke: bool = False,
 ) -> dict:
-    """Run the full grid and return the bench document (schema-tagged)."""
+    """Run the grid (the smoke grid if ``smoke``) and return its document."""
+    scales = scales or (SMOKE_SCALES if smoke else DEFAULT_SCALES)
+    predicates = predicates or (SMOKE_PREDICATES if smoke else DEFAULT_PREDICATES)
     items_by_k = items_by_k or (SMOKE_ITEMS_BY_K if smoke else ITEMS_BY_K)
     modes = ["pure"]
     if accel.numpy_or_none() is not None:
@@ -214,28 +216,10 @@ def run_bench(
                 results.append(
                     _bench_case(predicate, mode, k, m, items, pool, repeats, seed)
                 )
-    by_cell = {
-        (r["predicate"], r["mode"], r["k"]): r["trials_per_sec"] for r in results
-    }
-    speedups = []
-    if "numpy" in modes:
-        for predicate in predicates:
-            for k, m in scales:
-                pure = by_cell[(predicate, "pure", k)]
-                fast = by_cell[(predicate, "numpy", k)]
-                speedups.append(
-                    {
-                        "predicate": predicate,
-                        "k": k,
-                        "m": m,
-                        "speedup": round(fast / pure, 2),
-                    }
-                )
-    return {
-        "schema": BENCH_SCHEMA,
-        "generated_by": "python -m repro.perf crafting",
-        "smoke": smoke,
-        "config": {
+    return document(
+        "crafting",
+        smoke=smoke,
+        config={
             "scales": [list(s) for s in scales],
             "predicates": list(predicates),
             "items_by_k": {str(k): v for k, v in items_by_k.items()},
@@ -244,111 +228,30 @@ def run_bench(
             "strategy": KirschMitzenmacherStrategy().name,
             "repeats": repeats,
             "seed": seed,
-            "python": platform.python_version(),
-            "numpy": getattr(accel.numpy_or_none(), "__version__", None),
         },
-        "results": results,
-        "speedups": speedups,
-    }
-
-
-def check_bench_file(path: str) -> dict:
-    """Validate a committed crafting bench file.
-
-    Raises ``ValueError`` if the file is missing, unparsable,
-    schema-stale, structurally empty -- or, for a full (non-smoke) run,
-    if the best largest-scale speedup falls below
-    :data:`CLAIMED_SPEEDUP`.
-    """
-    try:
-        with open(path, "rb") as handle:
-            doc = json.load(handle)
-    except FileNotFoundError:
-        raise ValueError(f"bench file {path} is missing") from None
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"bench file {path} is not valid JSON: {exc}") from exc
-    if doc.get("schema") != BENCH_SCHEMA:
-        raise ValueError(
-            f"bench file {path} has schema {doc.get('schema')!r}, current is "
-            f"{BENCH_SCHEMA!r} -- regenerate with python -m repro.perf crafting"
-        )
-    results = doc.get("results")
-    if not isinstance(results, list) or not results:
-        raise ValueError(f"bench file {path} carries no results")
-    for row in results:
-        missing = _REQUIRED_RESULT_KEYS - set(row)
-        if missing:
-            raise ValueError(
-                f"bench file {path} result row missing keys {sorted(missing)}"
-            )
-    if not doc.get("smoke"):
-        largest_k = max(row["k"] for row in results)
-        at_scale = [
-            cell["speedup"]
-            for cell in doc.get("speedups", [])
-            if cell.get("k") == largest_k
-        ]
-        if not at_scale:
-            raise ValueError(
-                f"bench file {path} has no speedup cells at the largest "
-                f"scale (k={largest_k})"
-            )
-        if max(at_scale) < CLAIMED_SPEEDUP:
-            raise ValueError(
-                f"bench file {path} best largest-scale crafting speedup is "
-                f"x{max(at_scale)}, below the claimed x{CLAIMED_SPEEDUP} -- "
-                "regenerate or investigate the batched-engine regression"
-            )
-    return doc
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.perf crafting", description=__doc__.splitlines()[0]
+        results=results,
     )
-    parser.add_argument(
-        "--out", default=None, help="write the bench document to this path"
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny grid (CI: proves the harness runs, not the numbers)",
-    )
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument(
-        "--check",
-        metavar="PATH",
-        help="validate an existing bench file instead of running",
-    )
-    args = parser.parse_args(argv)
-    if args.check:
-        doc = check_bench_file(args.check)
-        print(
-            f"{args.check}: schema {doc['schema']}, "
-            f"{len(doc['results'])} results, "
-            f"{len(doc.get('speedups', []))} speedup cells"
-        )
-        return 0
-    if args.smoke:
-        doc = run_bench(
-            SMOKE_SCALES, SMOKE_PREDICATES, repeats=1, smoke=True
-        )
-    else:
-        doc = run_bench(repeats=args.repeats)
-    text = json.dumps(doc, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-        print(f"wrote {args.out}")
-    else:
-        print(text, end="")
-    for cell in doc["speedups"]:
-        print(
-            f"  {cell['predicate']:>10} k={cell['k']:>2} m=2^"
-            f"{cell['m'].bit_length() - 1} -> x{cell['speedup']}"
-        )
-    return 0
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+def headline_error(doc: dict) -> str | None:
+    """The claim: the best largest-scale speedup is >= CLAIMED_SPEEDUP."""
+    largest_k = max(row["k"] for row in doc["results"])
+    at_scale = [
+        cell["speedup"] for cell in doc["speedups"] if cell["k"] == largest_k
+    ]
+    if not at_scale:
+        return f"has no speedup cells at the largest scale (k={largest_k})"
+    if max(at_scale) < CLAIMED_SPEEDUP:
+        return (
+            f"best largest-scale crafting speedup is x{max(at_scale)}, below the "
+            f"claimed x{CLAIMED_SPEEDUP} -- regenerate or investigate the "
+            "batched-engine regression"
+        )
+    return None
+
+
+def cell_label(cell: dict) -> str:
+    return (
+        f"{cell['predicate']:>10} k={cell['k']:>2} "
+        f"m=2^{cell['m'].bit_length() - 1}"
+    )

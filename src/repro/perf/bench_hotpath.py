@@ -1,4 +1,4 @@
-"""Hot-path benchmark: batch insert/query throughput, pure vs accelerated.
+"""Hot-path grid: batch insert/query throughput, pure vs accelerated.
 
 One run covers the grid ``ops x modes x batch_sizes x shard_counts`` on
 Bloom shards using the Kirsch-Mitzenmacher/murmur128 strategy -- the
@@ -7,31 +7,33 @@ work) is vectorisable, and also exactly what Dablooms deploys.  Shards
 split each batch round-robin, so higher shard counts measure how
 per-shard batch fragmentation erodes vectorisation gains.
 
-The output file carries a schema tag (:data:`BENCH_SCHEMA`); CI runs a
-smoke pass and :func:`check_bench_file` against the committed
-``BENCH_hotpath.json`` so the file can neither go missing nor silently
-rot when the schema moves.
-
-Run with ``python -m repro.perf`` (or ``python -m repro.perf.bench_hotpath``).
+The grid makes no headline claim: its speedup cells are the record.
+Run it with ``python -m repro.perf hotpath``; :mod:`repro.perf.harness`
+writes and checks ``BENCH_hotpath.json``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
 import time
 
 from repro import accel
 from repro.core.bloom import BloomFilter
 from repro.hashing.kirsch_mitzenmacher import KirschMitzenmacherStrategy
+from repro.perf.harness import document
 from repro.perf.timers import StageTimer
 from repro.service.codec import pack_bools
 
-__all__ = ["BENCH_SCHEMA", "run_bench", "check_bench_file", "main"]
+__all__ = ["SCHEMA", "ROW_KEYS", "RATIO", "run_bench", "headline_error", "cell_label"]
 
 #: Schema tag written into (and demanded of) every bench file.
-BENCH_SCHEMA = "repro.bench_hotpath/1"
+SCHEMA = "repro.bench_hotpath/1"
+
+ROW_KEYS = frozenset(
+    {"op", "mode", "batch_size", "shards", "items_per_sec", "seconds"}
+)
+
+#: Speedup cell: numpy over pure items/sec per (op, batch size, shards).
+RATIO = (("op", "batch_size", "shards"), "mode", "pure", "numpy", "items_per_sec")
 
 #: Filter geometry: large enough that the biggest benchmarked batch
 #: leaves the filter far from saturation.
@@ -42,10 +44,6 @@ DEFAULT_BATCH_SIZES = (256, 4096, 32768)
 DEFAULT_SHARD_COUNTS = (1, 4)
 SMOKE_BATCH_SIZES = (256,)
 SMOKE_SHARD_COUNTS = (1,)
-
-_REQUIRED_RESULT_KEYS = frozenset(
-    {"op", "mode", "batch_size", "shards", "items_per_sec", "seconds"}
-)
 
 
 def _make_items(count: int) -> list[bytes]:
@@ -113,11 +111,18 @@ def _stage_breakdown(batch_size: int, strategy) -> dict:
 
 
 def run_bench(
-    batch_sizes=DEFAULT_BATCH_SIZES,
-    shard_counts=DEFAULT_SHARD_COUNTS,
+    batch_sizes=None,
+    shard_counts=None,
     repeats: int = 3,
+    smoke: bool = False,
 ) -> dict:
-    """Run the full grid and return the bench document (schema-tagged)."""
+    """Run the grid (the smoke grid if ``smoke``) and return its document."""
+    batch_sizes = batch_sizes or (
+        SMOKE_BATCH_SIZES if smoke else DEFAULT_BATCH_SIZES
+    )
+    shard_counts = shard_counts or (
+        SMOKE_SHARD_COUNTS if smoke else DEFAULT_SHARD_COUNTS
+    )
     strategy = KirschMitzenmacherStrategy()
     modes = ["pure"]
     if accel.numpy_or_none() is not None:
@@ -137,116 +142,26 @@ def run_bench(
                     results.append(
                         _bench_case(op, mode, batch_size, shards, repeats, strategy)
                     )
-    by_cell = {
-        (r["op"], r["mode"], r["batch_size"], r["shards"]): r["items_per_sec"]
-        for r in results
-    }
-    speedups = []
-    if "numpy" in modes:
-        for op in ("insert", "query"):
-            for batch_size in batch_sizes:
-                for shards in shard_counts:
-                    pure = by_cell[(op, "pure", batch_size, shards)]
-                    fast = by_cell[(op, "numpy", batch_size, shards)]
-                    speedups.append(
-                        {
-                            "op": op,
-                            "batch_size": batch_size,
-                            "shards": shards,
-                            "speedup": round(fast / pure, 2),
-                        }
-                    )
-    return {
-        "schema": BENCH_SCHEMA,
-        "generated_by": "python -m repro.perf",
-        "config": {
+    return document(
+        "hotpath",
+        smoke=smoke,
+        config={
             "m_per_shard": M_PER_SHARD,
             "k": K,
             "strategy": strategy.name,
             "batch_sizes": list(batch_sizes),
             "shard_counts": list(shard_counts),
             "repeats": repeats,
-            "python": platform.python_version(),
-            "numpy": getattr(accel.numpy_or_none(), "__version__", None),
         },
-        "results": results,
-        "speedups": speedups,
-        "stage_breakdown": _stage_breakdown(max(batch_sizes), strategy),
-    }
-
-
-def check_bench_file(path: str) -> dict:
-    """Validate a committed bench file; raises ``ValueError`` if it is
-    missing, unparsable, schema-stale, or structurally empty."""
-    try:
-        with open(path, "rb") as handle:
-            doc = json.load(handle)
-    except FileNotFoundError:
-        raise ValueError(f"bench file {path} is missing") from None
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"bench file {path} is not valid JSON: {exc}") from exc
-    if doc.get("schema") != BENCH_SCHEMA:
-        raise ValueError(
-            f"bench file {path} has schema {doc.get('schema')!r}, "
-            f"current is {BENCH_SCHEMA!r} -- regenerate with python -m repro.perf"
-        )
-    results = doc.get("results")
-    if not isinstance(results, list) or not results:
-        raise ValueError(f"bench file {path} carries no results")
-    for row in results:
-        missing = _REQUIRED_RESULT_KEYS - set(row)
-        if missing:
-            raise ValueError(
-                f"bench file {path} result row missing keys {sorted(missing)}"
-            )
-    return doc
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.perf", description=__doc__.splitlines()[0]
+        results=results,
+        stage_breakdown=_stage_breakdown(max(batch_sizes), strategy),
     )
-    parser.add_argument(
-        "--out", default=None, help="write the bench document to this path"
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny grid (CI: proves the harness runs, not the numbers)",
-    )
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument(
-        "--check",
-        metavar="PATH",
-        help="validate an existing bench file instead of running",
-    )
-    args = parser.parse_args(argv)
-    if args.check:
-        doc = check_bench_file(args.check)
-        print(
-            f"{args.check}: schema {doc['schema']}, "
-            f"{len(doc['results'])} results, "
-            f"{len(doc.get('speedups', []))} speedup cells"
-        )
-        return 0
-    if args.smoke:
-        doc = run_bench(SMOKE_BATCH_SIZES, SMOKE_SHARD_COUNTS, repeats=1)
-    else:
-        doc = run_bench(repeats=args.repeats)
-    text = json.dumps(doc, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-        print(f"wrote {args.out}")
-    else:
-        print(text, end="")
-    for cell in doc["speedups"]:
-        print(
-            f"  {cell['op']:>6} batch={cell['batch_size']:>6} "
-            f"shards={cell['shards']} -> x{cell['speedup']}"
-        )
-    return 0
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+def headline_error(doc: dict) -> str | None:
+    """No headline claim to miss."""
+    return None
+
+
+def cell_label(cell: dict) -> str:
+    return f"{cell['op']:>6} batch={cell['batch_size']:>6} shards={cell['shards']}"

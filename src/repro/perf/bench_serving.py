@@ -1,4 +1,4 @@
-"""Serving benchmark: end-to-end requests/sec with and without coalescing.
+"""Serving grid: end-to-end requests/sec with and without coalescing.
 
 ``bench_hotpath`` measures the filter core in isolation; this grid
 measures what clients actually see -- many concurrent connections
@@ -28,39 +28,42 @@ one event loop, so once that loop saturates on wire work, merging
 backend calls cannot add throughput (it still cuts pipe hops on
 ``tcp-procpool``).
 
-The output file carries a schema tag (:data:`BENCH_SCHEMA`); CI runs a
-smoke pass and :func:`check_bench_file` against the committed
-``BENCH_serving.json``, which also enforces the headline claim -- a
-full run must show >=3x requests/sec for single-item requests on at
-least one transport.
-
-Run with ``python -m repro.perf serving`` (or
-``python -m repro.perf.bench_serving``).
+The headline claim (:func:`headline_error`): a full run must show >=3x
+requests/sec for single-item requests on at least one transport.  Run
+the grid with ``python -m repro.perf serving``; :mod:`repro.perf.harness`
+writes and checks ``BENCH_serving.json``.
 """
 
 from __future__ import annotations
 
-import argparse
 import asyncio
-import json
-import platform
 import time
 
-from repro import accel
+from repro.perf.harness import document
 from repro.service.client import MembershipClient
 from repro.service.config import ServiceConfig
 from repro.service.gateway import MembershipGateway
 from repro.service.server import MembershipServer
 
-__all__ = ["BENCH_SCHEMA", "run_bench", "check_bench_file", "main"]
+__all__ = ["SCHEMA", "ROW_KEYS", "RATIO", "run_bench", "headline_error", "cell_label"]
 
 #: Schema tag written into (and demanded of) every bench file.
-BENCH_SCHEMA = "repro.bench_serving/1"
+SCHEMA = "repro.bench_serving/1"
+
+ROW_KEYS = frozenset(
+    {"transport", "coalesce", "request_size", "clients",
+     "requests_per_sec", "seconds"}
+)
+
+#: Speedup cell: coalescing on over off requests/sec per (transport,
+#: request size).
+RATIO = (("transport", "request_size"), "coalesce", False, True, "requests_per_sec")
 
 #: Concurrent client coroutines per cell (the acceptance scenario is
 #: "many clients, small requests"; more clients mean deeper coalesce
 #: queues, and 96 keeps every transport saturated).
 CLIENTS = 96
+SMOKE_CLIENTS = 8
 
 #: Coalescer window for the "on" cells.  Window 0 (next-tick flush, no
 #: added deadline latency) merges best at this client count: clients
@@ -82,11 +85,6 @@ SMOKE_REQUEST_SIZES = (1,)
 #: Requests each client sends, per request size (smaller requests need
 #: more rounds for a stable clock; bigger ones carry more items each).
 ROUNDS_BY_SIZE = {1: 32, 8: 12, 64: 6}
-
-_REQUIRED_RESULT_KEYS = frozenset(
-    {"transport", "coalesce", "request_size", "clients",
-     "requests_per_sec", "seconds"}
-)
 
 
 def _service_config(transport: str) -> ServiceConfig:
@@ -194,13 +192,18 @@ def _bench_cell(
 
 
 def run_bench(
-    transports=DEFAULT_TRANSPORTS,
-    request_sizes=DEFAULT_REQUEST_SIZES,
+    transports=None,
+    request_sizes=None,
     repeats: int = 3,
-    clients: int = CLIENTS,
+    clients: int | None = None,
     smoke: bool = False,
 ) -> dict:
-    """Run the serving grid and return the bench document."""
+    """Run the grid (the smoke grid if ``smoke``) and return its document."""
+    transports = transports or (SMOKE_TRANSPORTS if smoke else DEFAULT_TRANSPORTS)
+    request_sizes = request_sizes or (
+        SMOKE_REQUEST_SIZES if smoke else DEFAULT_REQUEST_SIZES
+    )
+    clients = clients or (SMOKE_CLIENTS if smoke else CLIENTS)
     results = []
     for transport in transports:
         for size in request_sizes:
@@ -208,27 +211,10 @@ def run_bench(
                 results.append(
                     _bench_cell(transport, coalesce, size, clients, repeats)
                 )
-    by_cell = {
-        (r["transport"], r["coalesce"], r["request_size"]): r["requests_per_sec"]
-        for r in results
-    }
-    speedups = []
-    for transport in transports:
-        for size in request_sizes:
-            off = by_cell[(transport, False, size)]
-            on = by_cell[(transport, True, size)]
-            speedups.append(
-                {
-                    "transport": transport,
-                    "request_size": size,
-                    "speedup": round(on / off, 2),
-                }
-            )
-    return {
-        "schema": BENCH_SCHEMA,
-        "generated_by": "python -m repro.perf serving",
-        "smoke": smoke,
-        "config": {
+    return document(
+        "serving",
+        smoke=smoke,
+        config={
             "clients": clients,
             "transports": list(transports),
             "request_sizes": list(request_sizes),
@@ -237,112 +223,25 @@ def run_bench(
             "coalesce_max_batch": COALESCE_MAX_BATCH,
             "pipeline_depth": PIPELINE_DEPTH,
             "repeats": repeats,
-            "python": platform.python_version(),
-            "numpy": getattr(accel.numpy_or_none(), "__version__", None),
         },
-        "results": results,
-        "speedups": speedups,
-    }
-
-
-def check_bench_file(path: str) -> dict:
-    """Validate a committed serving bench file.
-
-    Raises ``ValueError`` if the file is missing, unparsable,
-    schema-stale, structurally empty -- or, for a full (non-smoke) run,
-    if no transport shows the headline >=3x single-item coalescing win.
-    """
-    try:
-        with open(path, "rb") as handle:
-            doc = json.load(handle)
-    except FileNotFoundError:
-        raise ValueError(f"bench file {path} is missing") from None
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"bench file {path} is not valid JSON: {exc}") from exc
-    if doc.get("schema") != BENCH_SCHEMA:
-        raise ValueError(
-            f"bench file {path} has schema {doc.get('schema')!r}, current is "
-            f"{BENCH_SCHEMA!r} -- regenerate with python -m repro.perf serving"
-        )
-    results = doc.get("results")
-    if not isinstance(results, list) or not results:
-        raise ValueError(f"bench file {path} carries no results")
-    for row in results:
-        missing = _REQUIRED_RESULT_KEYS - set(row)
-        if missing:
-            raise ValueError(
-                f"bench file {path} result row missing keys {sorted(missing)}"
-            )
-    if not doc.get("smoke"):
-        single = [
-            cell["speedup"]
-            for cell in doc.get("speedups", [])
-            if cell.get("request_size") == 1
-        ]
-        if not single:
-            raise ValueError(
-                f"bench file {path} has no single-item speedup cells"
-            )
-        if max(single) < 3.0:
-            raise ValueError(
-                f"bench file {path} best single-item coalescing speedup is "
-                f"x{max(single)}, below the claimed x3.0 -- regenerate or "
-                "investigate the serving-path regression"
-            )
-    return doc
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.perf serving", description=__doc__.splitlines()[0]
+        results=results,
     )
-    parser.add_argument(
-        "--out", default=None, help="write the bench document to this path"
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny grid (CI: proves the harness runs, not the numbers)",
-    )
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument(
-        "--check",
-        metavar="PATH",
-        help="validate an existing bench file instead of running",
-    )
-    args = parser.parse_args(argv)
-    if args.check:
-        doc = check_bench_file(args.check)
-        print(
-            f"{args.check}: schema {doc['schema']}, "
-            f"{len(doc['results'])} results, "
-            f"{len(doc.get('speedups', []))} speedup cells"
-        )
-        return 0
-    if args.smoke:
-        doc = run_bench(
-            SMOKE_TRANSPORTS,
-            SMOKE_REQUEST_SIZES,
-            repeats=1,
-            clients=8,
-            smoke=True,
-        )
-    else:
-        doc = run_bench(repeats=args.repeats)
-    text = json.dumps(doc, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-        print(f"wrote {args.out}")
-    else:
-        print(text, end="")
-    for cell in doc["speedups"]:
-        print(
-            f"  {cell['transport']:>12} request_size={cell['request_size']:>3} "
-            f"-> x{cell['speedup']}"
-        )
-    return 0
 
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+def headline_error(doc: dict) -> str | None:
+    """The claim: >=3x single-item requests/sec on at least one transport."""
+    single = [
+        cell["speedup"] for cell in doc["speedups"] if cell["request_size"] == 1
+    ]
+    if not single:
+        return "has no single-item speedup cells"
+    if max(single) < 3.0:
+        return (
+            f"best single-item coalescing speedup is x{max(single)}, below the "
+            "claimed x3.0 -- regenerate or investigate the serving-path regression"
+        )
+    return None
+
+
+def cell_label(cell: dict) -> str:
+    return f"{cell['transport']:>12} request_size={cell['request_size']:>3}"

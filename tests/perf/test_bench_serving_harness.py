@@ -1,10 +1,10 @@
-"""The serving bench harness and its CI gate.
+"""The serving grid through the shared bench harness.
 
-Same contract as the hot-path harness tests: a smoke run produces a
-schema-tagged, internally consistent document; :func:`check_bench_file`
-rejects every way the committed file can rot -- including a full run
-that no longer shows the headline single-item coalescing win -- and the
-repository's ``BENCH_serving.json`` itself must validate.
+A smoke run produces a schema-tagged, internally consistent document;
+:func:`check_bench_file` rejects every way the committed file can rot
+-- including a full run whose rows no longer show the headline
+single-item coalescing win -- and the repository's
+``BENCH_serving.json`` itself must validate.
 """
 
 from __future__ import annotations
@@ -14,29 +14,35 @@ import pathlib
 
 import pytest
 
+from repro.perf import check_bench_file, main
 from repro.perf.bench_serving import (
-    BENCH_SCHEMA,
-    SMOKE_REQUEST_SIZES,
+    RATIO,
+    ROW_KEYS,
+    SCHEMA,
     SMOKE_TRANSPORTS,
-    check_bench_file,
-    main,
     run_bench,
 )
+from repro.perf.harness import document, speedups
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
-def smoke_doc():
-    return run_bench(
-        SMOKE_TRANSPORTS, SMOKE_REQUEST_SIZES, repeats=1, clients=4, smoke=True
-    )
+def full_doc(size: int, off: float, on: float) -> dict:
+    """A full run of one inproc cell pair; its speedup cell follows from
+    the rows, as the gate demands."""
+    rows = [
+        {"transport": "inproc", "coalesce": coalesce, "request_size": size,
+         "clients": 8, "requests_per_sec": rate, "seconds": 1.0}
+        for coalesce, rate in ((False, off), (True, on))
+    ]
+    return document("serving", smoke=False, config={}, results=rows)
 
 
-def test_smoke_run_document_shape():
+def test_smoke_run_document_shape(smoke_doc):
     # The smoke grid drives the tcp client too, not just the gateway.
     assert SMOKE_TRANSPORTS == ("inproc", "tcp-local")
-    doc = smoke_doc()
-    assert doc["schema"] == BENCH_SCHEMA
+    _, doc = smoke_doc("serving")
+    assert doc["schema"] == SCHEMA
     assert doc["smoke"] is True
     cells = {
         (r["transport"], r["coalesce"], r["request_size"]) for r in doc["results"]
@@ -47,6 +53,7 @@ def test_smoke_run_document_shape():
         for coalesce in (False, True)
     }
     for row in doc["results"]:
+        assert ROW_KEYS <= set(row)
         assert row["seconds"] > 0
         assert row["requests_per_sec"] == pytest.approx(
             row["clients"] * row["rounds"] / row["seconds"], rel=0.01
@@ -63,67 +70,71 @@ def test_smoke_run_document_shape():
     assert on["coalesce_ratio"] > 1.0
 
 
-def test_check_accepts_smoke_document(tmp_path):
-    path = tmp_path / "bench.json"
-    path.write_text(json.dumps(smoke_doc()))
-    assert check_bench_file(str(path))["schema"] == BENCH_SCHEMA
+def test_check_accepts_smoke_document(write_bench):
+    doc = run_bench(repeats=1, smoke=True)
+    assert doc["smoke"] is True
+    assert check_bench_file(write_bench(doc))["schema"] == SCHEMA
 
 
 def test_check_rejects_missing_file(tmp_path):
+    """The CI gate fails loudly when the committed file is gone."""
     with pytest.raises(ValueError, match="missing"):
-        check_bench_file(str(tmp_path / "nope.json"))
+        main(["--check", str(tmp_path / "BENCH_serving.json")])
 
 
-def test_check_rejects_invalid_json(tmp_path):
-    path = tmp_path / "bench.json"
-    path.write_text("{not json")
+def test_check_rejects_invalid_json(write_bench):
+    """... or half-written, as an interrupted ``--out`` write leaves it."""
+    text = (REPO_ROOT / "BENCH_serving.json").read_text()
+    path = write_bench(text[: len(text) // 2], "BENCH_serving.json")
     with pytest.raises(ValueError, match="not valid JSON"):
-        check_bench_file(str(path))
+        main(["--check", path])
 
 
-def test_check_rejects_stale_schema(tmp_path):
-    path = tmp_path / "bench.json"
-    path.write_text(json.dumps({"schema": "repro.bench_serving/0", "results": [{}]}))
+def test_check_rejects_stale_schema(write_bench):
+    path = write_bench({"schema": "repro.bench_serving/0", "results": [{}]})
     with pytest.raises(ValueError, match="regenerate"):
-        check_bench_file(str(path))
+        check_bench_file(path)
 
 
-def test_check_rejects_missing_row_keys(tmp_path):
-    path = tmp_path / "bench.json"
-    row = {"transport": "inproc", "coalesce": True}
-    path.write_text(json.dumps({"schema": BENCH_SCHEMA, "results": [row]}))
-    with pytest.raises(ValueError, match="missing keys"):
-        check_bench_file(str(path))
+def test_check_rejects_empty_results(write_bench):
+    with pytest.raises(ValueError, match="no results"):
+        check_bench_file(write_bench({"schema": SCHEMA, "results": []}))
 
 
-def test_check_rejects_full_run_below_headline_speedup(tmp_path):
-    doc = smoke_doc()
-    doc["smoke"] = False  # full runs must prove the claim
-    doc["speedups"] = [
-        {"transport": "inproc", "request_size": 1, "speedup": 1.2}
-    ]
-    path = tmp_path / "bench.json"
-    path.write_text(json.dumps(doc))
+def test_check_rejects_missing_row_keys(smoke_doc, write_bench):
+    _, doc = smoke_doc("serving")
+    del doc["results"][0]["requests_per_sec"]
+    with pytest.raises(ValueError, match=r"missing keys \['requests_per_sec'\]"):
+        check_bench_file(write_bench(doc))
+
+
+def test_check_rejects_speedups_the_rows_do_not_show(write_bench):
+    """Slow the committed inproc-procpool "on" rows to 5,000 req/s: the
+    rows then show at most x1.23 single-item, the cells still x3.16."""
+    doc = json.loads((REPO_ROOT / "BENCH_serving.json").read_text())
+    for row in doc["results"]:
+        if row["transport"] == "inproc-procpool" and row["coalesce"]:
+            row["requests_per_sec"] = 5000.0
+    with pytest.raises(ValueError, match="do not match its result rows"):
+        check_bench_file(write_bench(doc))
+
+
+def test_check_rejects_full_run_below_headline_speedup(write_bench):
     with pytest.raises(ValueError, match="below the claimed x3.0"):
-        check_bench_file(str(path))
+        check_bench_file(write_bench(full_doc(1, 1000.0, 1200.0)))
+    assert check_bench_file(write_bench(full_doc(1, 1000.0, 3100.0)))
 
 
-def test_check_rejects_full_run_without_single_item_cells(tmp_path):
-    doc = smoke_doc()
-    doc["smoke"] = False
-    doc["speedups"] = [
-        {"transport": "inproc", "request_size": 8, "speedup": 9.0}
-    ]
-    path = tmp_path / "bench.json"
-    path.write_text(json.dumps(doc))
+def test_check_rejects_full_run_without_single_item_cells(write_bench):
     with pytest.raises(ValueError, match="no single-item"):
-        check_bench_file(str(path))
+        check_bench_file(write_bench(full_doc(8, 1000.0, 9000.0)))
 
 
 def test_committed_bench_file_validates():
     """The gate CI runs: the committed serving numbers must hold up."""
     doc = check_bench_file(str(REPO_ROOT / "BENCH_serving.json"))
     assert doc["smoke"] is False
+    assert doc["speedups"] == speedups(doc["results"], RATIO)
     best = max(
         cell["speedup"]
         for cell in doc["speedups"]
@@ -132,8 +143,13 @@ def test_committed_bench_file_validates():
     assert best >= 3.0
 
 
-def test_cli_smoke_and_check(tmp_path, capsys):
-    out = tmp_path / "smoke.json"
-    assert main(["--smoke", "--out", str(out)]) == 0
-    assert main(["--check", str(out)]) == 0
+def test_cli_check_mode(capsys):
+    """Bare ``--check`` reads the grid from the file's schema tag."""
+    assert main(["--check", str(REPO_ROOT / "BENCH_serving.json")]) == 0
+    assert "schema repro.bench_serving/1" in capsys.readouterr().out
+
+
+def test_cli_smoke_and_check(smoke_doc, capsys):
+    path, _ = smoke_doc("serving")
+    assert main(["--check", str(path)]) == 0
     assert "schema repro.bench_serving/1" in capsys.readouterr().out
