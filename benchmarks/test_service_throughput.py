@@ -199,19 +199,20 @@ def _replay_with_policy(policy):
 def test_policy_evaluation_overhead(report):
     """Per-batch policy evaluation must stay invisible on the hot path.
 
-    The PR 2 baseline is the policy-free gateway (no rotation decision at
-    all); each lifecycle policy replays the identical honest workload,
-    with rotation thresholds set out of reach so the comparison measures
-    pure decision overhead, not rotation work.
+    The baseline is the default gateway, whose ``NeverRotatePolicy``
+    decides "keep" on every batch at the least cost; each lifecycle
+    policy replays the identical honest workload, with rotation
+    thresholds set out of reach so the comparison measures pure decision
+    overhead, not rotation work.
     """
-    baseline = _replay_inproc()  # no policy at all (PR 2 behaviour)
+    baseline = _replay_inproc()  # the "never" policy
     policies = [
         ("fill", FillThresholdPolicy(0.99)),
         ("age", TimeBasedRecyclingPolicy(10_000_000)),
         ("adaptive", AdaptivePositiveRatePolicy(0.999, min_queries=10_000_000)),
         ("restore+fill", RotateOnRestorePolicy(10_000_000, FillThresholdPolicy(0.99))),
     ]
-    rows = [["none (baseline)", baseline.operations, baseline.throughput, 1.0]]
+    rows = [["never (baseline)", baseline.operations, baseline.throughput, 1.0]]
     reports = []
     for name, policy in policies:
         outcome = _replay_with_policy(policy)
@@ -226,7 +227,7 @@ def test_policy_evaluation_overhead(report):
         )
     report(
         "policy-evaluation overhead, honest workload (600 ops + probe):\n"
-        + render_table(["policy", "ops", "ops/s", "slowdown_vs_none"], rows)
+        + render_table(["policy", "ops", "ops/s", "slowdown_vs_never"], rows)
     )
     for outcome in reports:
         # Identical work (the policy must not change behaviour) ...

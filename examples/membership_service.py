@@ -223,7 +223,7 @@ async def run_act_cluster() -> None:
     config = ServiceConfig(
         shard_m=SHARD_M,
         shard_k=SHARD_K,
-        rotation_policy=None,
+        rotation_policy="never",
         router="siphash:" + bytes(range(16)).hex(),
     )
     async with ClusterHarness(

@@ -1,15 +1,18 @@
-"""The brute-force crafting engine shared by every attack.
+"""The brute-force crafting engine and the attack base every forge shares.
 
 Paper Section 4: "In each case, we consider brute force search: an item
 is selected at random and its k indexes are computed.  If the bit in the
 filter at any of these indexes is already set to 1 or 0 depending on the
 adversary, the item is discarded and a new one is tried."
 
-The engine pulls candidates from any iterator (usually a
-:class:`~repro.urlgen.faker.UrlFactory` stream), computes their indexes
+The engine pulls candidates from one source (usually a
+:class:`~repro.urlgen.faker.UrlFactory`), computes their indexes
 through the *public* strategy of the target filter, and keeps the first
 candidate whose index tuple satisfies the attack predicate.  Trial counts
 are recorded so the cost figures (paper Figs. 5 and 6) can be rebuilt.
+:class:`CraftingAttack` binds one predicate class to one target and
+engine; the four attacks (pollution, ghosts, latency queries, two-choice
+pollution) differ only in that predicate and what they do with a result.
 
 Two search paths share byte-for-byte identical semantics:
 
@@ -30,24 +33,25 @@ independent) index tuples and are *carried* into the engine's next
 search, so the candidate stream position matches the scalar engine
 item-for-item across a whole campaign.
 
-``craft()`` auto-dispatches.  Mask-capable predicates take the batched
-path when the caller supplied a bulk source (``candidate_batch``), the
-strategy brings a batch kernel and the accel backend is on.  Otherwise
-the scalar loop runs:
+``craft()`` picks the path from the source it was given.  Mask-capable
+predicates take the batched path when the source is a bulk puller
+(a callable ``n -> list[str]`` such as
+:meth:`UrlFactory.candidate_batch`), the strategy brings a batch kernel
+and the accel backend is on.  Otherwise the scalar loop runs:
 
 * ``REPRO_PURE_PYTHON=1`` selects it outright;
 * strategies without a kernel (e.g. the two-choice pair derivation)
   stay scalar, because a block's k scalar hashes per over-pulled
   candidate would cost more than the mask saves;
-* a plain per-item iterator is pulled exactly one candidate per trial.
-  Only the caller knows what a pulled candidate costs, and passing
-  ``candidate_batch`` is how it says blocks are cheap.  A bare iterator
-  may be expensive per item (the traffic driver filters its stream
-  through a shard router, generating ~``shards`` URLs per accepted
-  one) or stateful (the adaptive attacker's stream draws from a shared
-  RNG).  A block sliced off such a stream wastes whatever the engine's
-  owner drops, and moves shared state past the winner.  Pulling exactly
-  keeps both the cost and the state equal to what the paper's search
+* any other iterable is pulled exactly one candidate per trial.  Only
+  the caller knows what a pulled candidate costs, and handing over a
+  bulk puller is how it says blocks are cheap.  An iterator may be
+  expensive per item (the traffic driver filters its stream through a
+  shard router, generating ~``shards`` URLs per accepted one) or
+  stateful (the adaptive attacker's stream draws from a shared RNG).  A
+  block sliced off such a stream wastes whatever the engine's owner
+  drops, and moves shared state past the winner.  Pulling exactly keeps
+  both the cost and the state equal to what the paper's search
   examines, whatever the accel mode.
 """
 
@@ -55,17 +59,26 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
+from functools import partial
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from repro import accel
 from repro.exceptions import CraftingBudgetExceeded, ParameterError
 from repro.hashing.base import IndexStrategy
+from repro.urlgen.faker import UrlFactory
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.adversary.budget import AttackBudget
+    from repro.adversary.state import TargetFilter
 
-__all__ = ["CraftResult", "CraftingEngine", "expected_trials", "CRAFT_BLOCK_SIZE"]
+__all__ = [
+    "CraftResult",
+    "CraftingEngine",
+    "CraftingAttack",
+    "expected_trials",
+    "CRAFT_BLOCK_SIZE",
+]
 
 #: First-block size of a batched search -- big enough to amortise the
 #: vectorised hashing setup, small enough that cheap searches don't
@@ -76,8 +89,8 @@ __all__ = ["CraftResult", "CraftingEngine", "expected_trials", "CRAFT_BLOCK_SIZE
 #: traffic driver re-binds a fresh attack to the live filter every
 #: chunk, over a shard-routed stream costing ~``shards`` generated
 #: candidates per accepted one -- is why ``craft()`` only batches bulk
-#: sources (``candidate_batch``): the driver passes a bare iterator, so
-#: its searches pull exactly and no block size is ever wasted there.
+#: sources: the driver passes an iterator, so its searches pull exactly
+#: and no block size is ever wasted there.
 CRAFT_BLOCK_SIZE = 64
 
 #: Ceiling of the per-search block ramp: each further block of one
@@ -145,8 +158,16 @@ class CraftingEngine:
     k, m:
         The target filter's parameters.
     candidates:
-        Iterable of candidate items; must be effectively infinite and
-        duplicate-free (see :meth:`UrlFactory.candidate_stream`).
+        The one candidate source, duplicate-free.  A callable
+        ``n -> list[str]`` (e.g. :meth:`UrlFactory.candidate_batch`, or
+        ``partial(factory.candidate_batch, prefix=p)``) is a bulk
+        source: the caller's statement that a block of candidates is
+        cheap to pull and safe to over-pull, and what lets
+        :meth:`craft` take the batched path.  The scalar loop pulls it
+        one candidate at a time; an empty pull ends the source.  Any
+        other iterable is pulled exactly one candidate per trial by
+        :meth:`craft` (only a direct :meth:`craft_batched` call slices
+        blocks off it).
     max_trials:
         Hard budget per crafted item; exceeding it raises
         :class:`~repro.exceptions.CraftingBudgetExceeded` rather than
@@ -158,16 +179,6 @@ class CraftingEngine:
         trials actually examined, under ``label``.  A drained purse
         raises :class:`~repro.exceptions.AttackBudgetExhausted` before
         the search starts.
-    candidate_batch:
-        Optional bulk puller ``n -> list[str]`` (usually
-        :meth:`UrlFactory.candidate_batch`); it must draw from the
-        *same* underlying source as ``candidates`` so scalar and batched
-        pulls interleave into one sequential stream.  Passing it is the
-        caller's statement that a block of candidates is cheap to pull
-        and safe to over-pull, and it is what lets :meth:`craft` take
-        the batched path.  Without it, :meth:`craft` pulls
-        ``candidates`` one per trial, and only a direct
-        :meth:`craft_batched` call slices blocks off the iterator.
     block_size:
         Candidates per batched block.
     """
@@ -177,11 +188,10 @@ class CraftingEngine:
         strategy: IndexStrategy,
         k: int,
         m: int,
-        candidates: Iterable[str],
+        candidates: Iterable[str] | Callable[[int], list[str]],
         max_trials: int = 5_000_000,
         budget: "AttackBudget | None" = None,
         label: str = "craft",
-        candidate_batch: Callable[[int], list[str]] | None = None,
         block_size: int = CRAFT_BLOCK_SIZE,
     ) -> None:
         if k <= 0 or m <= 0:
@@ -197,8 +207,14 @@ class CraftingEngine:
         self.budget = budget
         self.label = label
         self.block_size = block_size
+        #: The bulk puller, or ``None`` for a per-item iterable.
+        self._bulk: Callable[[int], list[str]] | None = None
+        if callable(candidates):
+            self._bulk = candidates
+            # One-at-a-time view of the same source; the ``[]`` sentinel
+            # ends it, so a finite source cannot spin forever.
+            candidates = chain.from_iterable(iter(partial(candidates, 1), []))
         self._candidates: Iterator[str] = iter(candidates)
-        self._candidate_batch = candidate_batch
         #: Whether the strategy brings its own batch kernel (overrides
         #: the base scalar flatten).  Without one, block hashing costs
         #: exactly k scalar derivations per pulled candidate, and a
@@ -235,16 +251,16 @@ class CraftingEngine:
     def craft(self, predicate: Callable[[tuple[int, ...]], bool]) -> CraftResult:
         """Return the first candidate whose indexes satisfy ``predicate``.
 
-        Dispatches to the batched path when the caller supplied a bulk
-        source (``candidate_batch``), the predicate is mask-capable, the
-        strategy has a batch kernel, and the accel backend is on; the
-        scalar loop otherwise.  Both paths produce identical results,
-        trial counts and budget charges.  The scalar fallback also makes
-        a per-item iterator's consumption exact: it is advanced once per
-        examined candidate and never past the winner.
+        Dispatches to the batched path when the source is a bulk puller,
+        the predicate is mask-capable, the strategy has a batch kernel,
+        and the accel backend is on; the scalar loop otherwise.  Both
+        paths produce identical results, trial counts and budget
+        charges.  The scalar fallback also makes a per-item iterator's
+        consumption exact: it is advanced once per examined candidate
+        and never past the winner.
         """
         if (
-            self._candidate_batch is not None
+            self._bulk is not None
             and self._batch_kernel
             and callable(getattr(predicate, "mask", None))
             and accel.accelerated(self.block_size)
@@ -271,7 +287,7 @@ class CraftingEngine:
             else:
                 try:
                     item = next(self._candidates)
-                except StopIteration as exc:  # pragma: no cover - defensive
+                except StopIteration as exc:
                     self._spend(trial - 1)
                     raise CraftingBudgetExceeded(
                         "candidate stream exhausted", trials=trial - 1
@@ -373,8 +389,8 @@ class CraftingEngine:
         return [predicate(_row_tuple(matrix, j)) for j in range(len(matrix))]
 
     def _pull_block(self, n: int) -> list[str]:
-        if self._candidate_batch is not None:
-            return self._candidate_batch(n)
+        if self._bulk is not None:
+            return self._bulk(n)
         return list(islice(self._candidates, n))
 
     def _block_matrix(self, items: list[str]):
@@ -418,3 +434,74 @@ class CraftingEngine:
         if count < 0:
             raise ParameterError("count must be non-negative")
         return [self.craft(predicate_factory()) for _ in range(count)]
+
+
+class CraftingAttack:
+    """One brute-force attack: a predicate bound to a target and an engine.
+
+    Sub-classes name their predicate class, default seed and budget
+    label as class constants, and add only what they do with crafted
+    items.
+
+    Parameters
+    ----------
+    target:
+        Any filter understood by :func:`~repro.adversary.state.bit_oracle`.
+    candidates:
+        The engine's candidate source (see :class:`CraftingEngine`);
+        defaults to the bulk puller of a seeded :class:`UrlFactory`.
+    max_trials:
+        Per-item brute-force budget.
+    seed:
+        Seed of the default candidate factory; ``None`` takes the
+        class's ``default_seed``.
+    budget:
+        Optional campaign-wide :class:`~repro.adversary.budget.
+        AttackBudget` every trial is charged against (under ``label``).
+    label:
+        Budget ledger label; ``None`` takes the class's
+        ``default_label``.
+    """
+
+    #: The :class:`~repro.adversary.predicates.StatePredicate` sub-class
+    #: judging each candidate against ``target``.
+    predicate_type: type
+    default_seed: int
+    default_label = "craft"
+
+    def __init__(
+        self,
+        target: "TargetFilter",
+        candidates: Iterable[str] | Callable[[int], list[str]] | None = None,
+        max_trials: int = 5_000_000,
+        seed: int | None = None,
+        budget: "AttackBudget | None" = None,
+        label: str | None = None,
+    ) -> None:
+        self.target = target
+        if candidates is None:
+            factory = UrlFactory(seed=self.default_seed if seed is None else seed)
+            candidates = factory.candidate_batch
+        #: Mask-capable predicate; the engine batches it whenever the
+        #: source is bulk and the accel backend is on.
+        self.predicate = self.predicate_type(target)
+        strategy, k = self._geometry()
+        self.engine = CraftingEngine(
+            strategy,
+            k,
+            target.m,
+            candidates,
+            max_trials,
+            budget=budget,
+            label=self.default_label if label is None else label,
+        )
+
+    def _geometry(self) -> tuple[IndexStrategy, int]:
+        """The adversary's view of the index derivation: which strategy
+        it hashes candidates with, and how many indexes each yields."""
+        return self.target.strategy, self.target.k
+
+    def craft_one(self) -> CraftResult:
+        """Craft (but do not use) one item satisfying the predicate in
+        the target's current state; ``result.trials`` is its cost."""
+        return self.engine.craft(self.predicate)

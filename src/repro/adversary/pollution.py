@@ -12,14 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
 
-from repro.adversary.crafting import CraftingEngine, CraftResult
+from repro.adversary.crafting import CraftingAttack, CraftResult
 from repro.adversary.predicates import FreshBitsPredicate
-from repro.adversary.state import TargetFilter, bit_oracle
 from repro.core.analysis import birthday_threshold
 from repro.exceptions import ParameterError
-from repro.urlgen.faker import UrlFactory
 
 __all__ = [
     "PollutionReport",
@@ -85,62 +82,16 @@ class PollutionReport:
         return [r.item for r in self.crafted]
 
 
-class PollutionAttack:
+class PollutionAttack(CraftingAttack):
     """Drive a chosen-insertion pollution campaign against a filter.
 
-    Parameters
-    ----------
-    target:
-        Any filter understood by :func:`~repro.adversary.state.bit_oracle`.
-    candidates:
-        Candidate item stream; defaults to seeded fake URLs.
-    max_trials:
-        Per-item brute-force budget.
-    budget:
-        Optional campaign-wide :class:`~repro.adversary.budget.
-        AttackBudget` every trial is charged against (under ``label``).
-    candidate_batch:
-        Optional bulk puller for the batched engine path; wired to the
-        internal factory's when ``candidates`` is omitted.
+    The predicate is eq. (6): pairwise-distinct indexes, all on unset
+    bits.
     """
 
-    def __init__(
-        self,
-        target: TargetFilter,
-        candidates: Iterable[str] | None = None,
-        max_trials: int = 5_000_000,
-        seed: int = 0x5EED,
-        budget=None,
-        label: str = "pollution",
-        candidate_batch=None,
-    ) -> None:
-        self.target = target
-        self._is_set = bit_oracle(target)
-        if candidates is None:
-            factory = UrlFactory(seed=seed)
-            candidates = factory.candidate_stream()
-            candidate_batch = factory.candidate_batch
-        #: Mask-capable predicate; the engine auto-dispatches to the
-        #: batched search path whenever the accel backend is on.
-        self.predicate = FreshBitsPredicate(target)
-        self.engine = CraftingEngine(
-            target.strategy,
-            target.k,
-            target.m,
-            candidates,
-            max_trials,
-            budget=budget,
-            label=label,
-            candidate_batch=candidate_batch,
-        )
-
-    def _predicate(self, indexes: tuple[int, ...]) -> bool:
-        """Eq. (6): pairwise-distinct indexes, all on unset bits."""
-        return self.predicate(indexes)
-
-    def craft_one(self) -> CraftResult:
-        """Craft (but do not insert) one polluting item for the current state."""
-        return self.engine.craft(self.predicate)
+    predicate_type = FreshBitsPredicate
+    default_seed = 0x5EED
+    default_label = "pollution"
 
     def run(self, count: int, insert: bool = True) -> PollutionReport:
         """Craft ``count`` polluting items, inserting each by default.

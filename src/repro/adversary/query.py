@@ -18,9 +18,9 @@ state.  Two goals:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from functools import partial
 
-from repro.adversary.crafting import CraftingEngine, CraftResult
+from repro.adversary.crafting import CraftingAttack, CraftResult
 from repro.adversary.predicates import AllSetPredicate, LatencyPredicate
 from repro.adversary.state import TargetFilter, bit_oracle
 from repro.exceptions import ParameterError
@@ -46,48 +46,12 @@ def false_positive_success_probability(m: int, weight: int, k: int) -> float:
     return (weight / m) ** k
 
 
-class GhostForgery:
-    """Craft items the filter wrongly believes present (eq. 8).
+class GhostForgery(CraftingAttack):
+    """Craft items the filter wrongly believes present (eq. 8)."""
 
-    ``budget``/``label`` optionally charge every brute-force trial
-    against a campaign-wide :class:`~repro.adversary.budget.AttackBudget`.
-    """
-
-    def __init__(
-        self,
-        target: TargetFilter,
-        candidates: Iterable[str] | None = None,
-        max_trials: int = 5_000_000,
-        seed: int = 0x6057,
-        budget=None,
-        label: str = "ghost",
-        candidate_batch=None,
-    ) -> None:
-        self.target = target
-        self._is_set = bit_oracle(target)
-        if candidates is None:
-            factory = UrlFactory(seed=seed)
-            candidates = factory.candidate_stream()
-            candidate_batch = factory.candidate_batch
-        #: Mask-capable predicate driving the batched search path.
-        self.predicate = AllSetPredicate(target)
-        self.engine = CraftingEngine(
-            target.strategy,
-            target.k,
-            target.m,
-            candidates,
-            max_trials,
-            budget=budget,
-            label=label,
-            candidate_batch=candidate_batch,
-        )
-
-    def _predicate(self, indexes: tuple[int, ...]) -> bool:
-        return self.predicate(indexes)
-
-    def craft_one(self) -> CraftResult:
-        """One ghost item; ``result.trials`` is the brute-force cost."""
-        return self.engine.craft(self.predicate)
+    predicate_type = AllSetPredicate
+    default_seed = 0x6057
+    default_label = "ghost"
 
     def craft(self, count: int) -> list[CraftResult]:
         """``count`` ghost items (the filter state does not change, so
@@ -101,7 +65,7 @@ class GhostForgery:
         )
 
 
-class LatencyQueryForgery:
+class LatencyQueryForgery(CraftingAttack):
     """Craft dummy queries hitting k-1 set bits then one unset bit.
 
     Forces a short-circuit query loop through its longest path on an
@@ -109,48 +73,17 @@ class LatencyQueryForgery:
     large filters where each position probe is a memory access.
     """
 
-    def __init__(
-        self,
-        target: TargetFilter,
-        candidates: Iterable[str] | None = None,
-        max_trials: int = 5_000_000,
-        seed: int = 0x7A7E,
-        budget=None,
-        label: str = "latency",
-        candidate_batch=None,
-    ) -> None:
-        self.target = target
-        self._is_set = bit_oracle(target)
-        if candidates is None:
-            factory = UrlFactory(seed=seed)
-            candidates = factory.candidate_stream()
-            candidate_batch = factory.candidate_batch
-        #: Mask-capable predicate driving the batched search path.
-        self.predicate = LatencyPredicate(target)
-        self.engine = CraftingEngine(
-            target.strategy,
-            target.k,
-            target.m,
-            candidates,
-            max_trials,
-            budget=budget,
-            label=label,
-            candidate_batch=candidate_batch,
-        )
-
-    def _predicate(self, indexes: tuple[int, ...]) -> bool:
-        return self.predicate(indexes)
-
-    def craft_one(self) -> CraftResult:
-        """One maximal-work negative query."""
-        return self.engine.craft(self.predicate)
+    predicate_type = LatencyPredicate
+    default_seed = 0x7A7E
+    default_label = "latency"
 
     def probes_touched(self, indexes: tuple[int, ...]) -> int:
         """Positions a short-circuiting query visits for these indexes."""
+        is_set = bit_oracle(self.target)
         touched = 0
         for i in indexes:
             touched += 1
-            if not self._is_set(i):
+            if not is_set(i):
                 break
         return touched
 
@@ -197,9 +130,8 @@ class DecoyTree:
         factory = UrlFactory(seed=seed)
         forgery = GhostForgery(
             target,
-            candidates=factory.candidate_stream(prefix=path),
+            candidates=partial(factory.candidate_batch, prefix=path),
             max_trials=max_trials,
-            candidate_batch=lambda n: factory.candidate_batch(n, prefix=path),
         )
         ghost = forgery.craft_one().item
         return DecoyTree(root=root, decoys=tuple(decoys), ghost=ghost)

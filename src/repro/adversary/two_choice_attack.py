@@ -12,13 +12,11 @@ than the classic filter's ``(nk/m)^k`` at the same weight.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
-from repro.adversary.crafting import CraftingEngine, CraftResult
+from repro.adversary.crafting import CraftingAttack, CraftResult
 from repro.adversary.predicates import TwoChoiceFreshPredicate
 from repro.core.two_choice import TwoChoiceBloomFilter
 from repro.hashing.base import IndexStrategy
-from repro.urlgen.faker import UrlFactory
 
 __all__ = ["TwoChoicePollutionReport", "TwoChoicePollutionAttack"]
 
@@ -62,40 +60,18 @@ class _PairStrategy(IndexStrategy):
         return group_a + group_b
 
 
-class TwoChoicePollutionAttack:
-    """Craft items with both groups fresh and pairwise distinct."""
+class TwoChoicePollutionAttack(CraftingAttack):
+    """Craft items with both groups fresh and pairwise distinct.
 
-    def __init__(
-        self,
-        target: TwoChoiceBloomFilter,
-        candidates: Iterable[str] | None = None,
-        max_trials: int = 5_000_000,
-        seed: int = 0x2C01,
-        candidate_batch=None,
-    ) -> None:
-        self.target = target
-        if candidates is None:
-            factory = UrlFactory(seed=seed)
-            candidates = factory.candidate_stream()
-            candidate_batch = factory.candidate_batch
-        # Both halves fresh; the chosen group (either) must also be
-        # internally distinct so it adds exactly k ones.
-        self.predicate = TwoChoiceFreshPredicate(target)
-        self.engine = CraftingEngine(
-            _PairStrategy(target),
-            2 * target.k,
-            target.m,
-            candidates,
-            max_trials,
-            candidate_batch=candidate_batch,
-        )
+    Both halves must be fresh; the chosen group (either) must also be
+    internally distinct so it adds exactly k ones.
+    """
 
-    def _predicate(self, indexes: tuple[int, ...]) -> bool:
-        return self.predicate(indexes)
+    predicate_type = TwoChoiceFreshPredicate
+    default_seed = 0x2C01
 
-    def craft_one(self) -> CraftResult:
-        """One item that defeats the two-choice heuristic."""
-        return self.engine.craft(self.predicate)
+    def _geometry(self) -> tuple[IndexStrategy, int]:
+        return _PairStrategy(self.target), 2 * self.target.k
 
     def run(self, count: int) -> TwoChoicePollutionReport:
         """Craft and insert ``count`` items; every insertion adds k ones."""

@@ -90,8 +90,7 @@ class DabloomsPollutionAttack:
                 prefix = "http://phish.example"
                 attack = PollutionAttack(
                     blocklist.active_slice,
-                    candidates=factory.candidate_stream(prefix=prefix),
-                    candidate_batch=partial(factory.candidate_batch, prefix=prefix),
+                    candidates=partial(factory.candidate_batch, prefix=prefix),
                 )
                 for _ in range(capacity):
                     crafted = attack.craft_one()

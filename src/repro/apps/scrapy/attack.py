@@ -18,6 +18,7 @@ visited.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.adversary.pollution import PollutionAttack
 from repro.adversary.query import DecoyTree, GhostForgery
@@ -90,8 +91,7 @@ class BlindingAttack:
         prefix = f"http://{self.adversary_host}"
         attack = PollutionAttack(
             shadow,
-            candidates=factory.candidate_stream(prefix=prefix),
-            candidate_batch=lambda n: factory.candidate_batch(n, prefix=prefix),
+            candidates=partial(factory.candidate_batch, prefix=prefix),
         )
         report = attack.run(n_links, insert=True)
 
@@ -176,8 +176,7 @@ class GhostHidingAttack:
         factory = UrlFactory(seed=self.seed)
         forgery = GhostForgery(
             self.dupefilter.filter,
-            candidates=factory.candidate_stream(prefix=path),
-            candidate_batch=lambda n: factory.candidate_batch(n, prefix=path),
+            candidates=partial(factory.candidate_batch, prefix=path),
         )
         ghost_result = forgery.craft_one()
         tree = DecoyTree(root=root, decoys=tuple(decoys), ghost=ghost_result.item)

@@ -16,6 +16,7 @@ baseline discrepancy.)
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.adversary.pollution import PollutionAttack
 from repro.apps.squid.siblings import SiblingPair, make_sibling_pair
@@ -122,8 +123,7 @@ class CacheDigestAttack:
         prefix = "http://attacker.example"
         attack = PollutionAttack(
             shim,
-            candidates=factory.candidate_stream(prefix=prefix),
-            candidate_batch=lambda n: factory.candidate_batch(n, prefix=prefix),
+            candidates=partial(factory.candidate_batch, prefix=prefix),
         )
         report = attack.run(self.added_urls, insert=True)
         return report.items

@@ -286,6 +286,19 @@ class ProbePool:
         return False
 
 
+def _ladder(floor: int, ceiling: int, resolution: int) -> list[int]:
+    """The doubling rungs ``floor, 2*floor, ..., ceiling`` (the odd
+    ceiling itself last), after validating the search bounds."""
+    if floor <= 0 or ceiling < floor:
+        raise ParameterError("need 0 < floor <= ceiling")
+    if resolution <= 0:
+        raise ParameterError("resolution must be positive")
+    ladder = [floor]
+    while ladder[-1] < ceiling:
+        ladder.append(min(ladder[-1] * 2, ceiling))
+    return ladder
+
+
 def minimise_winning_trials(
     win: Callable[[int], bool],
     floor: int,
@@ -295,11 +308,11 @@ def minimise_winning_trials(
     """Find the smallest winning trial purse in [floor, ceiling].
 
     ``win(trials)`` replays one probe and reports whether the campaign
-    reached its target.  The search doubles up from ``floor`` until the
-    first winning purse (or ``ceiling``), then bisects the bracket down
-    to ``resolution`` trials.  Returns ``floor`` when even the floor
-    wins, or ``None`` when no probed purse up to ``ceiling`` wins (the
-    frontier lies beyond the sweep).
+    reached its target.  The search walks the doubling ladder up from
+    ``floor`` until the first winning purse (or ``ceiling``), then
+    bisects the bracket down to ``resolution`` trials.  Returns
+    ``floor`` when even the floor wins, or ``None`` when no probed purse
+    up to ``ceiling`` wins (the frontier lies beyond the sweep).
 
     Why doubling instead of probing the ceiling first: the win
     predicate is only *locally* monotone.  An oversized purse can lose
@@ -309,90 +322,19 @@ def minimise_winning_trials(
     budget is found by walking up from below, never by assuming wins
     propagate down from the top.
     """
-    if floor <= 0 or ceiling < floor:
-        raise ParameterError("need 0 < floor <= ceiling")
-    if resolution <= 0:
-        raise ParameterError("resolution must be positive")
-    if win(floor):
-        return floor
-    lo, hi = floor, None  # lo lost; hi is the first observed win
-    candidate = floor
-    while candidate < ceiling:
-        candidate = min(candidate * 2, ceiling)
-        if win(candidate):
-            hi = candidate
+    lo = hi = None  # lo lost; hi is the first observed win
+    for rung in _ladder(floor, ceiling, resolution):
+        if win(rung):
+            hi = rung
             break
-        lo = candidate
+        lo = rung
     if hi is None:
         return None
+    if lo is None:
+        return floor
     while hi - lo > resolution:
         mid = (lo + hi) // 2
         if win(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
-def _minimise_pooled(
-    pool: ProbePool,
-    budget_for,
-    record,
-    config: ServiceConfig,
-    target_hits: int,
-    workload: FrontierWorkload,
-    seed: int,
-    thrash_gap: int,
-    floor: int,
-    ceiling: int,
-    resolution: int,
-) -> int | None:
-    """Pooled twin of :func:`minimise_winning_trials`.
-
-    The doubling ladder (floor, 2*floor, ..., ceiling) is known before
-    any result is, so every rung's replay is submitted at once; results
-    are then consumed *in rung order* and recording stops at the first
-    winner -- exactly the rungs the serial search would have probed, in
-    the order it would have probed them.  Bisection is inherently
-    sequential (each midpoint depends on the last verdict) and runs one
-    pooled probe at a time.
-    """
-    if floor <= 0 or ceiling < floor:
-        raise ParameterError("need 0 < floor <= ceiling")
-    if resolution <= 0:
-        raise ParameterError("resolution must be positive")
-
-    def submit(trials: int):
-        return pool.probe(
-            config,
-            budget_for(trials),
-            target_hits,
-            workload=workload,
-            seed=seed,
-            thrash_gap=thrash_gap,
-        )
-
-    ladder = [floor]
-    while ladder[-1] < ceiling:
-        ladder.append(min(ladder[-1] * 2, ceiling))
-    futures = {trials: submit(trials) for trials in ladder}
-    lo = hi = None
-    try:
-        for trials in ladder:
-            if record(trials, futures[trials].result()):
-                hi = trials
-                break
-            lo = trials
-    finally:
-        for future in futures.values():
-            future.cancel()
-    if hi is None:
-        return None
-    if hi == floor:
-        return floor
-    while hi - lo > resolution:
-        mid = (lo + hi) // 2
-        if record(mid, submit(mid).result()):
             hi = mid
         else:
             lo = mid
@@ -422,11 +364,11 @@ def cheapest_winning_budget(
     ghost campaign ``target_hits`` confirmed hits -- or ``cheapest =
     None`` when even ``ceiling`` trials lose against this defence.
 
-    With a :class:`ProbePool` the doubling phase fans its whole rung
-    ladder out at once and consumes results in rung order (probes past
-    the first winner are discarded unrecorded), then bisects serially
-    through the pool -- the same rung sequence and decision rule as the
-    serial search, in less wall clock on multicore hosts.
+    With a :class:`ProbePool` every rung of the doubling ladder is
+    submitted up front and the one search reads each rung's result in
+    order (rungs past the first winner are cancelled unread), then
+    bisects through the pool -- the same rung sequence and decision rule
+    as the serial search, in less wall clock on multicore hosts.
     """
     workload = workload or FrontierWorkload()
     resolution = resolution or max(16, ceiling // 16)
@@ -446,43 +388,45 @@ def cheapest_winning_budget(
         by_trials[trials] = probe
         return probe.won
 
-    def win(trials: int) -> bool:
-        probe = replay_probe(
-            config,
-            budget_for(trials),
-            target_hits,
-            workload=workload,
-            seed=seed,
-            thrash_gap=thrash_gap,
-        )
-        return record(trials, probe)
+    probe_args = dict(workload=workload, seed=seed, thrash_gap=thrash_gap)
+    # A single-worker pool serializes the ladder anyway, so prefetching
+    # buys no wall clock while still paying per-probe pickling and the
+    # speculative rung the worker starts before the in-order reader can
+    # cancel it; the serial walk probes the same rungs and decides
+    # identically.  (Duck-typed pools that don't advertise a worker
+    # count are taken at their word and fanned into.)
+    fan_out = pool is not None and getattr(pool, "workers", 2) > 1
+    prefetched = {}
+    if fan_out:
+        prefetched = {
+            rung: pool.probe(config, budget_for(rung), target_hits, **probe_args)
+            for rung in _ladder(floor, ceiling, resolution)
+        }
 
-    if pool is None or getattr(pool, "workers", 2) <= 1:
-        # A single-worker pool serializes the ladder anyway, so the
-        # fan-out buys no wall clock while still paying per-probe
-        # pickling and the speculative rung the worker starts before
-        # the in-order consumer can cancel it.  The serial walk probes
-        # the same rungs and decides identically.  (Duck-typed pools
-        # that don't advertise a worker count are taken at their word
-        # and fanned into.)
-        cheapest_trials = minimise_winning_trials(win, floor, ceiling, resolution)
-    else:
-        cheapest_trials = _minimise_pooled(
-            pool,
-            budget_for,
-            record,
-            config,
-            target_hits,
-            workload,
-            seed,
-            thrash_gap,
-            floor,
-            ceiling,
-            resolution,
+    def cancel_unread() -> None:
+        for future in prefetched.values():
+            future.cancel()
+        prefetched.clear()
+
+    def win(trials: int) -> bool:
+        if not fan_out:
+            probe = replay_probe(config, budget_for(trials), target_hits, **probe_args)
+            return record(trials, probe)
+        future = prefetched.pop(trials, None) or pool.probe(
+            config, budget_for(trials), target_hits, **probe_args
         )
+        won = record(trials, future.result())
+        if won:
+            cancel_unread()  # rungs past the first winner are never read
+        return won
+
+    try:
+        cheapest_trials = minimise_winning_trials(win, floor, ceiling, resolution)
+    finally:
+        cancel_unread()
     winning = by_trials.get(cheapest_trials) if cheapest_trials is not None else None
     return FrontierResult(
-        policy=config.rotation_policy or "none",
+        policy=config.rotation_policy,
         target_hits=target_hits,
         cheapest=winning.budget if winning is not None else None,
         winning=winning,

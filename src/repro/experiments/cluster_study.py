@@ -108,7 +108,7 @@ async def _rebalance_run(
     """Identical workloads on two clusters; one rebalances mid-run."""
     config = ServiceConfig(
         shard_m=max(512, int(4096 * scale)),
-        rotation_policy=None,
+        rotation_policy="never",
         router="murmur",
     )
     factory = UrlFactory(seed=seed + 7)
@@ -245,11 +245,11 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
     # ring is being measured against.
     shard_m = max(2048, int(8192 * scale))
     public_config = ServiceConfig(
-        shard_m=shard_m, rotation_policy=None, router="murmur"
+        shard_m=shard_m, rotation_policy="never", router="murmur"
     )
     keyed_config = ServiceConfig(
         shard_m=shard_m,
-        rotation_policy=None,
+        rotation_policy="never",
         router=f"siphash:{_key(seed, 'router').hex()}",
     )
 

@@ -24,7 +24,6 @@ from repro.adversary.pollution import PollutionAttack, expected_pollution_trials
 from repro.core.bloom import BloomFilter
 from repro.core.params import BloomParameters
 from repro.experiments.runner import ExperimentResult
-from repro.urlgen.faker import UrlFactory
 
 __all__ = ["run", "expected_total_trials"]
 
@@ -69,12 +68,7 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
         """
         params = BloomParameters.design_optimal(capacity, f)
         target = BloomFilter(params.m, params.k)
-        factory = UrlFactory(seed=seed ^ params.k)
-        attack = PollutionAttack(
-            target,
-            candidates=factory.candidate_stream(),
-            candidate_batch=factory.candidate_batch,
-        )
+        attack = PollutionAttack(target, seed=seed ^ params.k)
         with accel.use_mode(mode or accel.current_mode()):
             start = time.perf_counter()
             report = attack.run(n_items, insert=True)

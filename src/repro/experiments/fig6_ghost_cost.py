@@ -83,12 +83,8 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
             weight = target.hamming_weight
             expectation = expected_ghost_trials(params.m, params.k, weight)
             if expectation <= TRIAL_BUDGET:
-                ghost_factory = UrlFactory(seed=seed ^ goal)
                 forgery = GhostForgery(
-                    target,
-                    candidates=ghost_factory.candidate_stream(),
-                    max_trials=20 * TRIAL_BUDGET,
-                    candidate_batch=ghost_factory.candidate_batch,
+                    target, max_trials=20 * TRIAL_BUDGET, seed=seed ^ goal
                 )
                 start = time.perf_counter()
                 ghosts = forgery.craft(ghosts_per_point)
@@ -119,12 +115,8 @@ def run(scale: float = 1.0, seed: int = 0) -> ExperimentResult:
 
     if accel.accelerated() and costliest is not None and costliest[3] > 0:
         ghost_target, ghost_seed, _, batched_elapsed = costliest
-        ghost_factory = UrlFactory(seed=ghost_seed)
         forgery = GhostForgery(
-            ghost_target,
-            candidates=ghost_factory.candidate_stream(),
-            max_trials=20 * TRIAL_BUDGET,
-            candidate_batch=ghost_factory.candidate_batch,
+            ghost_target, max_trials=20 * TRIAL_BUDGET, seed=ghost_seed
         )
         with accel.use_mode("pure"):
             start = time.perf_counter()

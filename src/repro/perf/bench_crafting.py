@@ -85,12 +85,9 @@ _POOL_MARGIN = 8
 
 
 class _PoolCursor:
-    """Serve a pre-generated candidate pool to the engine, both forms.
-
-    The scalar path pulls one at a time from :meth:`stream`, the batched
-    path pulls blocks from :meth:`batch`; both advance one shared
-    position, mirroring the factory's own interleaving guarantee.
-    """
+    """Serve a pre-generated candidate pool to the engine as a bulk
+    source: the scalar path pulls it one at a time, the batched path in
+    blocks, both advancing one shared position."""
 
     def __init__(self, pool: list[str]) -> None:
         self.pool = pool
@@ -100,13 +97,6 @@ class _PoolCursor:
         chunk = self.pool[self.pos : self.pos + count]
         self.pos += len(chunk)
         return chunk
-
-    def stream(self):
-        while True:
-            chunk = self.batch(1)
-            if not chunk:
-                return
-            yield chunk[0]
 
 
 def _filled_bloom(k: int, m: int, fill: float, seed: int) -> BloomFilter:
@@ -125,11 +115,7 @@ def _filled_two_choice(k: int, m: int, fill: float, seed: int) -> TwoChoiceBloom
 
 def _make_attack(predicate: str, k: int, m: int, cursor: _PoolCursor, seed: int):
     """Fresh target + attack client reading candidates from ``cursor``."""
-    kwargs = dict(
-        candidates=cursor.stream(),
-        max_trials=1_000_000,
-        candidate_batch=cursor.batch,
-    )
+    kwargs = dict(candidates=cursor.batch, max_trials=1_000_000)
     if predicate == "pollution":
         return PollutionAttack(_filled_bloom(k, m, FILL, seed), **kwargs)
     if predicate == "ghost":

@@ -94,7 +94,7 @@ def _service_config(transport: str) -> ServiceConfig:
         shards=4,
         shard_m=1 << 16,
         shard_k=4,
-        rotation_policy=None,
+        rotation_policy="never",
         backend="process" if transport.endswith("procpool") else "local",
     )
 

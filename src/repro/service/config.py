@@ -43,8 +43,9 @@ class ServiceConfig:
         ``"cooldown:200(hysteresis:2(adaptive:0.85:24:32))"``, ``"!"``
         negation.  The default ``"fill:0.5"`` retires a shard once half
         its bits are set (the paper's recycled-filter countermeasure);
-        ``None`` disables rotation.  Malformed specs raise
-        :class:`~repro.exceptions.ConfigError` at config build time.
+        ``"never"`` disables rotation.  Malformed specs (``None``
+        included) raise :class:`~repro.exceptions.ConfigError` at config
+        build time.
     rate_limit:
         Per-client admitted operations per second; ``None`` means
         unlimited.
@@ -52,8 +53,8 @@ class ServiceConfig:
         Token-bucket burst size used with ``rate_limit``.
     router:
         Shard-router spec string (see :func:`~repro.service.cluster.
-        ring.parse_picker`): ``"murmur"`` / ``"murmur:0x5a4d"`` for the
-        public router (``None``, the default, means ``"murmur"``),
+        ring.parse_picker`): ``"murmur"`` (the default) /
+        ``"murmur:0x5a4d"`` for the public router,
         ``"siphash"`` / ``"siphash:<32 hex chars>"`` for the keyed one,
         which routes items with a secret SipHash key so an adversary
         cannot aim traffic at one shard.  Malformed specs raise
@@ -91,11 +92,11 @@ class ServiceConfig:
     shards: int = 4
     shard_m: int = 4096
     shard_k: int = 4
-    rotation_policy: str | None = "fill:0.5"
+    rotation_policy: str = "fill:0.5"
     rate_limit: float | None = None
     burst: int = 64
     keyed_filters: bool = False
-    router: str | None = None
+    router: str = "murmur"
     filter_key: bytes | None = None
     backend: str = "local"
     coalesce_window_us: int = 0
@@ -112,19 +113,14 @@ class ServiceConfig:
             raise ParameterError(f"shards must be positive, got {self.shards}")
         if self.shard_m <= 0 or self.shard_k <= 0:
             raise ParameterError("shard_m and shard_k must be positive")
-        if self.rotation_policy is not None:
-            # Parse for validation only; the gateway parses again at
-            # build time (policies are cheap, the config stays frozen
-            # and hashable with plain-string fields).
-            from repro.service.lifecycle import parse_policy
+        # Parse both specs for validation only; the gateway parses again
+        # at build time (policies and pickers are cheap, the config stays
+        # frozen and hashable with plain-string fields).
+        from repro.service.cluster.ring import parse_picker
+        from repro.service.lifecycle import parse_policy
 
-            parse_policy(self.rotation_policy)
-        if self.router is not None:
-            # Parse for validation only, mirroring rotation_policy: the
-            # gateway parses again at build time.
-            from repro.service.cluster.ring import parse_picker
-
-            parse_picker(self.router)
+        parse_policy(self.rotation_policy)
+        parse_picker(self.router)
         if self.rate_limit is not None and self.rate_limit <= 0:
             raise ParameterError("rate_limit must be positive (or None)")
         if self.burst <= 0:

@@ -362,51 +362,78 @@ class AdversarialTrafficDriver:
     # Adversarial crafting
     # ------------------------------------------------------------------
 
-    def _routed(self, candidates, shard_id: int):
-        """Filter any candidate stream down to URLs the *attacker's*
-        router maps to ``shard_id`` (picking over the global shard
-        space, as the gateway routes, even when it owns a subset)."""
+    def _craft(
+        self,
+        attack_cls,
+        tag: int,
+        shard_id: int,
+        count: int,
+        report: TrafficReport,
+        stream=None,
+        label: str | None = None,
+    ):
+        """Craft up to ``count`` items with ``attack_cls`` aimed at
+        ``shard_id``, judged against the shard's *current* filter state.
+
+        Candidates come from a factory seeded ``self.seed ^ tag``
+        (``stream(factory)`` when given, its plain stream otherwise),
+        filtered down to the URLs the *attacker's* router maps to
+        ``shard_id`` -- picking over the global shard space, as the
+        gateway routes, even when it owns a subset.  The routed stream
+        is a per-item iterator, so the engine pulls it exactly.
+
+        A per-item cap (``max_trials``) ends the chunk and counts in
+        ``report.crafting_exhausted``.  A drained purse also ends it;
+        the items crafted before are paid for and returned, and only an
+        empty chunk re-raises, so the attack loop can record the stop.
+        Returns ``(items, trials, attack)``: ``trials`` includes the
+        spend of a search cut short.
+        """
+        factory = UrlFactory(seed=self.seed ^ tag)
+        candidates = factory.candidate_stream() if stream is None else stream(factory)
         pick = self.attacker_router.pick
         shards = self.gateway.total_shards
-        return (url for url in candidates if pick(url, shards) == shard_id)
-
-    def _routed_candidates(self, factory: UrlFactory, shard_id: int):
-        """Candidate URLs the *attacker's* router maps to ``shard_id``."""
-        return self._routed(factory.candidate_stream(), shard_id)
+        attack = attack_cls(
+            self.gateway.shard_view(shard_id),
+            candidates=(url for url in candidates if pick(url, shards) == shard_id),
+            max_trials=self.max_trials,
+            budget=self.budget,
+            label=label,
+        )
+        items: list[str] = []
+        trials = 0
+        for _ in range(count):
+            try:
+                result = attack.craft_one()
+            except CraftingBudgetExceeded as exc:
+                report.crafting_exhausted += 1
+                trials += exc.trials
+                break
+            except AttackBudgetExhausted as exc:
+                if not items:
+                    raise
+                trials += exc.trials
+                break
+            items.append(result.item)
+            trials += result.trials
+        return items, trials, attack
 
     def craft_pollution(
         self, shard_id: int, count: int, report: TrafficReport, seed_offset: int = 0
     ) -> list[str]:
         """Craft up to ``count`` polluting items aimed at ``shard_id``,
         judged against the shard's *current* filter state."""
-        factory = UrlFactory(seed=self.seed ^ 0xA77AC3 ^ seed_offset)
-        attack = PollutionAttack(
-            self.gateway.shard_view(shard_id),
-            candidates=self._routed_candidates(factory, shard_id),
-            max_trials=self.max_trials,
-            budget=self.budget,
-        )
-        items: list[str] = []
-        for _ in range(count):
-            try:
-                result = attack.craft_one()
-            except CraftingBudgetExceeded as exc:
-                report.crafting_exhausted += 1
-                report.pollution_trials += exc.trials
-                break
-            except AttackBudgetExhausted as exc:
-                # Trials spent by the aborted search were charged to the
-                # budget, so the report must see them too -- the two
-                # ledgers stay reconcilable.
-                report.pollution_trials += exc.trials
-                # Items crafted before the purse ran dry are paid for;
-                # return them for sending.  An empty batch propagates so
-                # the attack loop can record the stop.
-                if not items:
-                    raise
-                break
-            items.append(result.item)
-            report.pollution_trials += result.trials
+        try:
+            items, trials, _ = self._craft(
+                PollutionAttack, 0xA77AC3 ^ seed_offset, shard_id, count, report
+            )
+        except AttackBudgetExhausted as exc:
+            # Trials spent by the aborted search were charged to the
+            # budget, so the report must see them too -- the two ledgers
+            # stay reconcilable.
+            report.pollution_trials += exc.trials
+            raise
+        report.pollution_trials += trials
         report.pollution_crafted += len(items)
         return items
 
@@ -415,24 +442,9 @@ class AdversarialTrafficDriver:
     ) -> list[str]:
         """Craft up to ``count`` ghost (false-positive) queries for
         ``shard_id``'s current filter."""
-        factory = UrlFactory(seed=self.seed ^ 0x6057 ^ seed_offset)
-        forgery = GhostForgery(
-            self.gateway.shard_view(shard_id),
-            candidates=self._routed_candidates(factory, shard_id),
-            max_trials=self.max_trials,
-            budget=self.budget,
+        items, _, _ = self._craft(
+            GhostForgery, 0x6057 ^ seed_offset, shard_id, count, report
         )
-        items: list[str] = []
-        for _ in range(count):
-            try:
-                items.append(forgery.craft_one().item)
-            except CraftingBudgetExceeded:
-                report.crafting_exhausted += 1
-                break
-            except AttackBudgetExhausted:
-                if not items:
-                    raise
-                break
         report.ghost_crafted += len(items)
         return items
 
@@ -446,25 +458,15 @@ class AdversarialTrafficDriver:
     ) -> list[str]:
         """Craft up to ``count`` fresh ghosts with the adaptive
         strategy's candidate stream (concentrated on promoted prefixes)."""
-        factory = UrlFactory(seed=self.seed ^ 0xADA9 ^ seed_offset)
-        forgery = GhostForgery(
-            self.gateway.shard_view(shard_id),
-            candidates=self._routed(strategy.candidates(factory), shard_id),
-            max_trials=self.max_trials,
-            budget=self.budget,
+        items, _, _ = self._craft(
+            GhostForgery,
+            0xADA9 ^ seed_offset,
+            shard_id,
+            count,
+            report,
+            stream=strategy.candidates,
             label="adaptive",
         )
-        items: list[str] = []
-        for _ in range(count):
-            try:
-                items.append(forgery.craft_one().item)
-            except CraftingBudgetExceeded:
-                report.crafting_exhausted += 1
-                break
-            except AttackBudgetExhausted:
-                if not items:
-                    raise
-                break
         report.adaptive_crafted += len(items)
         return items
 
@@ -473,27 +475,13 @@ class AdversarialTrafficDriver:
     ) -> list[str]:
         """Craft up to ``count`` worst-case-latency queries (k-1 set bits
         then one unset) for ``shard_id``'s current filter."""
-        view = self.gateway.shard_view(shard_id)
-        factory = UrlFactory(seed=self.seed ^ 0x1A7EC1 ^ seed_offset)
-        forgery = LatencyQueryForgery(
-            view,
-            candidates=self._routed_candidates(factory, shard_id),
-            max_trials=self.max_trials,
-            budget=self.budget,
+        items, _, forgery = self._craft(
+            LatencyQueryForgery, 0x1A7EC1 ^ seed_offset, shard_id, count, report
         )
-        items: list[str] = []
-        for _ in range(count):
-            try:
-                item = forgery.craft_one().item
-            except CraftingBudgetExceeded:
-                report.crafting_exhausted += 1
-                break
-            except AttackBudgetExhausted:
-                if not items:
-                    raise
-                break
-            items.append(item)
-            report.latency_probes_touched += forgery.probes_touched(view.indexes(item))
+        for item in items:
+            report.latency_probes_touched += forgery.probes_touched(
+                forgery.target.indexes(item)
+            )
         report.latency_crafted += len(items)
         return items
 

@@ -56,7 +56,12 @@ from repro.service.backends import LocalBackend, ProcessPoolBackend, ShardBacken
 from repro.service.cluster.ring import HashShardPicker, ShardPicker, parse_picker
 from repro.service.coalesce import MicroBatchCoalescer
 from repro.service.config import ServiceConfig
-from repro.service.lifecycle import RotationPolicy, ShardLifecycleState, parse_policy
+from repro.service.lifecycle import (
+    NeverRotatePolicy,
+    RotationPolicy,
+    ShardLifecycleState,
+    parse_policy,
+)
 from repro.service.telemetry import (
     CoalesceTelemetry,
     ShardSnapshot,
@@ -114,8 +119,8 @@ class MembershipGateway:
         :class:`~repro.service.cluster.ring.HashShardPicker`.
     policy:
         Shard rotation policy (see :mod:`repro.service.lifecycle`), e.g.
-        ``FillThresholdPolicy(0.5)`` or ``parse_policy("fill:0.5")``.
-        ``None`` disables rotation.
+        ``FillThresholdPolicy(0.5)`` or ``parse_policy("fill:0.5")``;
+        defaults to :class:`~repro.service.lifecycle.NeverRotatePolicy`.
     limiter:
         Per-client admission; defaults to unlimited.
     clock:
@@ -210,7 +215,7 @@ class MembershipGateway:
         self.name = name
         self.ownership = ownership
         self.picker = picker or HashShardPicker()
-        self.policy = policy
+        self.policy = policy if policy is not None else NeverRotatePolicy()
         self.limiter = limiter or ClientRateLimiter(None)
         self._clock = clock
         # All four lists are slot-indexed and always the same length;
@@ -264,19 +269,13 @@ class MembershipGateway:
         factory = partial(
             _config_filter, config.shard_m, config.shard_k, config.keyed_filters, key
         )
-        if picker is None and config.router is not None:
-            picker = parse_picker(config.router)
         return cls(
             factory,
             shards=slots,
-            picker=picker,
+            picker=picker if picker is not None else parse_picker(config.router),
             limiter=ClientRateLimiter(config.rate_limit, config.burst),
             backend=ProcessPoolBackend(factory, slots) if process else None,
-            policy=(
-                parse_policy(config.rotation_policy)
-                if config.rotation_policy is not None
-                else None
-            ),
+            policy=parse_policy(config.rotation_policy),
             coalesce_window_us=config.coalesce_window_us,
             coalesce_max_batch=config.coalesce_max_batch,
             shard_ids=shard_ids,
@@ -587,8 +586,6 @@ class MembershipGateway:
         with the batch (including the shard's instance age), so the
         policy decision costs no extra hop.
         """
-        if self.policy is None:
-            return False
         life = self.lifecycle[slot]
         decision = self.policy.decide(
             life.observe(
@@ -802,7 +799,6 @@ class MembershipGateway:
         self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        policy = self.policy.spec() if self.policy is not None else "none"
         coalesce = (
             f"window_us={self._coalescer.window_us},"
             f"max_batch={self._coalescer.max_batch}"
@@ -813,6 +809,7 @@ class MembershipGateway:
             f"<MembershipGateway {self.name!r} "
             f"shards={self.shards}/{self.total_shards} "
             f"picker={self.picker.name} "
-            f"backend={self.backend.name} policy={policy} coalesce={coalesce} "
+            f"backend={self.backend.name} policy={self.policy.spec()} "
+            f"coalesce={coalesce} "
             f"rotations={self.rotations}>"
         )

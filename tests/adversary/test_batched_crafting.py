@@ -195,6 +195,28 @@ def test_max_trials_exhaustion_trials_match_scalar(mode: str):
     assert reference[0] == 900
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("path", ["craft_scalar", "craft_batched"])
+def test_finite_bulk_source_ends_the_search(path: str, mode: str):
+    """An empty pull ends a bulk source: the search stops with every
+    pooled candidate examined and charged, instead of spinning."""
+    pool = UrlFactory(seed=SEED).candidate_batch(300)
+
+    def source(n: int) -> list[str]:
+        chunk = pool[:n]
+        del pool[:n]
+        return chunk
+
+    attack = GhostForgery(_bloom(), candidates=source)
+    with accel.use_mode(mode):
+        with pytest.raises(
+            CraftingBudgetExceeded, match="candidate stream exhausted"
+        ) as excinfo:
+            getattr(attack.engine, path)(_Impossible(attack.predicate))
+    assert excinfo.value.trials == 300
+    assert attack.engine.total_trials == 300
+
+
 class _Impossible:
     """Mask-capable predicate that never accepts (exhaustion parity)."""
 

@@ -84,7 +84,6 @@ def test_probes_touched_short_circuits_on_empty():
     bf = BloomFilter(64, 4)
     forgery = LatencyQueryForgery.__new__(LatencyQueryForgery)
     forgery.target = bf
-    forgery._is_set = bf.bits.get
     # All bits unset: one probe suffices to reject.
     assert forgery.probes_touched((1, 2, 3, 4)) == 1
 

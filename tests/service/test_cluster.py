@@ -406,7 +406,7 @@ def test_cluster_view_is_gateway_shaped():
 
 def test_tcp_cluster_handoff_crosses_the_wire():
     async def scenario():
-        config = ServiceConfig(shard_m=512, rotation_policy=None)
+        config = ServiceConfig(shard_m=512, rotation_policy="never")
         async with ClusterHarness(
             ["a", "b"], total_shards=4, config=config, mode="tcp"
         ) as harness:

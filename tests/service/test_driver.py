@@ -12,7 +12,7 @@ import pytest
 from repro import accel
 from repro.adversary.budget import AdaptiveQueryStrategy, AttackBudget
 from repro.core.bloom import BloomFilter
-from repro.exceptions import ParameterError
+from repro.exceptions import AttackBudgetExhausted, ParameterError
 from repro.service.admission import ClientRateLimiter
 from repro.service.backends import LocalBackend, ProcessPoolBackend
 from repro.service.cluster.ring import HashShardPicker, KeyedShardPicker
@@ -94,6 +94,85 @@ def test_crafted_ghosts_hit_polluted_shard():
     for ghost in ghosts:
         assert gateway.shard_of(ghost) == 0
         assert ghost in shard0  # a false positive by construction
+
+
+# ----------------------------------------------------------------------
+# The chunk contract every craft_* call keeps
+# ----------------------------------------------------------------------
+
+CRAFT_CALLS = {
+    "pollution": lambda driver, count, report: driver.craft_pollution(
+        0, count, report
+    ),
+    "ghost": lambda driver, count, report: driver.craft_ghosts(0, count, report),
+    "adaptive": lambda driver, count, report: driver.craft_adaptive_ghosts(
+        0, count, AdaptiveQueryStrategy(seed=3), report
+    ),
+    "latency": lambda driver, count, report: driver.craft_latency_queries(
+        0, count, report
+    ),
+}
+
+
+def chunk_driver(budget: AttackBudget, max_trials: int = 100_000):
+    """A budgeted driver over a gateway whose shard 0 was pre-filled by
+    crafted pollution (so every attack is affordable)."""
+    gateway = make_gateway()
+    filler = AdversarialTrafficDriver(gateway, seed=9, max_trials=100_000)
+    for item in filler.craft_pollution(0, 40, TrafficReport()):
+        gateway.filters[0].add(item)
+    return AdversarialTrafficDriver(
+        gateway, seed=6, max_trials=max_trials, budget=budget
+    )
+
+
+def first_item(name: str) -> tuple[list[str], int]:
+    """The first item a chunk crafts, and its cost, given purse to spare."""
+    budget = AttackBudget(max_trials=10**6)
+    items = CRAFT_CALLS[name](chunk_driver(budget), 1, TrafficReport())
+    return items, budget.trials_spent
+
+
+def assert_ledgers_agree(report: TrafficReport, budget: AttackBudget) -> None:
+    spend = budget.spend_by_label().get("pollution")
+    assert report.pollution_trials == (spend.trials if spend else 0)
+
+
+@pytest.mark.parametrize("name", sorted(CRAFT_CALLS))
+def test_per_item_cap_cuts_the_chunk_short(name: str):
+    budget = AttackBudget(max_trials=10**6)
+    report = TrafficReport()
+    items = CRAFT_CALLS[name](chunk_driver(budget, max_trials=2), 8, report)
+    assert len(items) < 8
+    assert report.crafting_exhausted == 1
+    assert_ledgers_agree(report, budget)
+
+
+@pytest.mark.parametrize("name", sorted(CRAFT_CALLS))
+def test_purse_drained_after_the_first_item_returns_the_paid_for_items(name: str):
+    first, cost = first_item(name)
+    budget = AttackBudget(max_trials=cost + 1)
+    driver = chunk_driver(budget)
+    report = TrafficReport()
+    items = CRAFT_CALLS[name](driver, 3, report)
+    assert items[:1] == first
+    assert budget.trials_spent == cost + 1
+    assert_ledgers_agree(report, budget)
+    with pytest.raises(AttackBudgetExhausted):
+        CRAFT_CALLS[name](driver, 3, report)
+    assert_ledgers_agree(report, budget)
+
+
+@pytest.mark.parametrize("name", sorted(CRAFT_CALLS))
+def test_purse_drained_before_the_first_item_raises_after_spending_it(name: str):
+    _, cost = first_item(name)
+    assert cost >= 2  # the seeds leave a purse to drain
+    budget = AttackBudget(max_trials=cost - 1)
+    report = TrafficReport()
+    with pytest.raises(AttackBudgetExhausted):
+        CRAFT_CALLS[name](chunk_driver(budget), 3, report)
+    assert budget.trials_spent == cost - 1
+    assert_ledgers_agree(report, budget)
 
 
 def test_replay_reports_consistent_counts():

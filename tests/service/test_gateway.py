@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.bloom import BloomFilter
 from repro.countermeasures.keyed import KeyedBloomFilter
-from repro.exceptions import ParameterError
+from repro.exceptions import ConfigError, ParameterError
 from repro.service.admission import ClientRateLimiter, RateLimited
 from repro.service.cluster.ring import KeyedShardPicker
 from repro.service.config import ServiceConfig
@@ -169,8 +169,12 @@ def test_from_config_builds_variants():
     assert isinstance(keyed.filters[0], KeyedBloomFilter)
     assert keyed.limiter.rate == 10.0
 
-    unrotated = MembershipGateway.from_config(ServiceConfig(rotation_policy=None))
-    assert unrotated.policy is None
+    unrotated = MembershipGateway.from_config(ServiceConfig(rotation_policy="never"))
+    assert unrotated.policy.spec() == "never"
+    # One spelling each: ``None`` is neither a policy nor a router.
+    for field in ("rotation_policy", "router"):
+        with pytest.raises(ConfigError):
+            ServiceConfig(**{field: None})
 
 
 def test_from_config_pinned_keys_rebuild_identically():
